@@ -375,7 +375,10 @@ mod tests {
             q.backward(&zero);
         }
         let after: f32 = q.bp.sum() + q.bn.sum();
-        assert!(after < before, "L1 must shrink bit mass: {before} -> {after}");
+        assert!(
+            after < before,
+            "L1 must shrink bit mass: {before} -> {after}"
+        );
         // Ten shrink steps of 0.1 kill every bit.
         for _ in 0..10 {
             q.materialize();
@@ -388,7 +391,11 @@ mod tests {
         for _ in 0..5 {
             q2.materialize();
         }
-        assert_eq!(q2.bp.sum() + q2.bn.sum(), mass, "eval forwards are side-effect-free");
+        assert_eq!(
+            q2.bp.sum() + q2.bn.sum(),
+            mass,
+            "eval forwards are side-effect-free"
+        );
     }
 
     #[test]

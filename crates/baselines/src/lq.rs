@@ -42,9 +42,7 @@ impl LqWeight {
         let s = w.max_abs().max(1e-8);
         // Geometric init: v_j ∝ 2^j, normalized so Σ v_j = max|w|.
         let total: f32 = (0..bits).map(|j| (1u32 << j) as f32).sum();
-        let basis: Vec<f32> = (0..bits)
-            .map(|j| s * (1u32 << j) as f32 / total)
-            .collect();
+        let basis: Vec<f32> = (0..bits).map(|j| s * (1u32 << j) as f32 / total).collect();
         LqWeight {
             grad: Tensor::zeros(w.dims()),
             latent: w.clone(),
@@ -244,7 +242,10 @@ mod tests {
             let (_, vals) = q.encode();
             Tensor::from_vec(vals, w.dims()).sub(&w).norm()
         };
-        assert!(after <= before + 1e-5, "QEM must not increase error: {before} -> {after}");
+        assert!(
+            after <= before + 1e-5,
+            "QEM must not increase error: {before} -> {after}"
+        );
     }
 
     #[test]

@@ -277,7 +277,10 @@ pub fn print_model_summaries(archs: &[Arch], scale: &BenchScale) {
     for arch in archs {
         let mut factory = csq_factory(8);
         let mut model = arch.build(scale, None, ActMode::Uniform, &mut factory);
-        println!("\n=== {arch:?} per-layer summary (width {}) ===", scale.width);
+        println!(
+            "\n=== {arch:?} per-layer summary (width {}) ===",
+            scale.width
+        );
         println!("{}", model_summary(&mut model));
     }
 }

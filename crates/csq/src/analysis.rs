@@ -126,7 +126,8 @@ fn owning_leaf(layers: &[LayerSummary], path: &str) -> Option<usize> {
     for (i, l) in layers.iter().enumerate() {
         let owns = l.path.is_empty()
             || path == l.path
-            || (path.starts_with(l.path.as_str()) && path.as_bytes().get(l.path.len()) == Some(&b'.'));
+            || (path.starts_with(l.path.as_str())
+                && path.as_bytes().get(l.path.len()) == Some(&b'.'));
         if owns && best.is_none_or(|(_, len)| l.path.len() >= len) {
             best = Some((i, l.path.len()));
         }

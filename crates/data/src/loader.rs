@@ -147,7 +147,11 @@ mod tests {
     fn unshuffled_order_is_stable() {
         let d = tiny();
         let mut loader = DataLoader::new(7, false, 0);
-        let a: Vec<usize> = loader.epoch(&d.test).iter().flat_map(|b| b.labels.clone()).collect();
+        let a: Vec<usize> = loader
+            .epoch(&d.test)
+            .iter()
+            .flat_map(|b| b.labels.clone())
+            .collect();
         assert_eq!(a, d.test.labels);
     }
 
@@ -180,8 +184,16 @@ mod tests {
         let mut ffwd = DataLoader::new(8, true, 42);
         ffwd.fast_forward(3, d.train.len());
         assert_eq!(ffwd.epochs_served(), served.epochs_served());
-        let a: Vec<Vec<usize>> = served.epoch(&d.train).iter().map(|b| b.labels.clone()).collect();
-        let b: Vec<Vec<usize>> = ffwd.epoch(&d.train).iter().map(|b| b.labels.clone()).collect();
+        let a: Vec<Vec<usize>> = served
+            .epoch(&d.train)
+            .iter()
+            .map(|b| b.labels.clone())
+            .collect();
+        let b: Vec<Vec<usize>> = ffwd
+            .epoch(&d.train)
+            .iter()
+            .map(|b| b.labels.clone())
+            .collect();
         assert_eq!(a, b, "epoch 4 must be identical after fast-forward");
     }
 
@@ -191,8 +203,16 @@ mod tests {
         let mut loader = DataLoader::new(8, true, 7);
         loader.epoch(&d.train);
         let mut snap = loader.clone();
-        let a: Vec<Vec<usize>> = loader.epoch(&d.train).iter().map(|b| b.labels.clone()).collect();
-        let b: Vec<Vec<usize>> = snap.epoch(&d.train).iter().map(|b| b.labels.clone()).collect();
+        let a: Vec<Vec<usize>> = loader
+            .epoch(&d.train)
+            .iter()
+            .map(|b| b.labels.clone())
+            .collect();
+        let b: Vec<Vec<usize>> = snap
+            .epoch(&d.train)
+            .iter()
+            .map(|b| b.labels.clone())
+            .collect();
         assert_eq!(a, b);
         assert_eq!(loader.seed(), 7);
     }

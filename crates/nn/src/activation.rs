@@ -230,7 +230,10 @@ impl Pact {
     ///
     /// Panics if `bits` is outside `1..=16` or `alpha0` is not positive.
     pub fn new(bits: u32, alpha0: f32) -> Self {
-        assert!((1..=16).contains(&bits), "activation bits must be in 1..=16");
+        assert!(
+            (1..=16).contains(&bits),
+            "activation bits must be in 1..=16"
+        );
         assert!(alpha0 > 0.0, "initial alpha must be positive");
         Pact {
             bits,
@@ -281,7 +284,11 @@ impl Layer for Pact {
             &mut self.cache,
             "Pact::backward called before a training forward",
         );
-        assert_eq!(cache.region.len(), grad_output.numel(), "grad shape mismatch");
+        assert_eq!(
+            cache.region.len(),
+            grad_output.numel(),
+            "grad shape mismatch"
+        );
         let mut g = grad_output.clone();
         let mut ga = 0.0f32;
         for (v, &r) in g.data_mut().iter_mut().zip(cache.region.iter()) {
@@ -302,15 +309,13 @@ impl Layer for Pact {
         // PACT decays α even though it is a scale, not a weight — the
         // documented exception to the role-derived decay policy.
         path.scoped("alpha", |p| {
-            f(
-                ParamMut::new(
-                    p.as_str(),
-                    ParamRole::QuantScale,
-                    &mut self.alpha,
-                    &mut self.grad_alpha,
-                )
-                .with_decay(true),
+            f(ParamMut::new(
+                p.as_str(),
+                ParamRole::QuantScale,
+                &mut self.alpha,
+                &mut self.grad_alpha,
             )
+            .with_decay(true))
         });
     }
 
@@ -408,7 +413,10 @@ mod tests {
         let x = Tensor::from_vec(vec![-0.5, 0.3, 0.7, 2.0], &[4]);
         let y = p.forward(&x, false);
         assert_eq!(y.data()[0], 0.0, "negative clipped to zero");
-        assert!((y.data()[3] - 1.0).abs() < 1e-6, "above alpha clipped to alpha");
+        assert!(
+            (y.data()[3] - 1.0).abs() < 1e-6,
+            "above alpha clipped to alpha"
+        );
         // 2 bits -> grid {0, 1/3, 2/3, 1}.
         for &v in y.iter() {
             let k = v * 3.0;
@@ -456,7 +464,10 @@ mod tests {
         let mut pm_ = Pact::new(8, 0.8 - eps);
         let lm = pm_.forward(&x, false).dot(&gy);
         let num = (lp - lm) / (2.0 * eps);
-        assert!((num - ana).abs() < 0.3, "alpha grad: numeric {num} vs {ana}");
+        assert!(
+            (num - ana).abs() < 0.3,
+            "alpha grad: numeric {num} vs {ana}"
+        );
     }
 
     #[test]

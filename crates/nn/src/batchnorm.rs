@@ -80,7 +80,10 @@ impl Layer for BatchNorm2d {
         let mut out = Tensor::zeros(input.dims());
 
         if train {
-            assert!(n * hw > 1, "batch norm needs more than one value per channel");
+            assert!(
+                n * hw > 1,
+                "batch norm needs more than one value per channel"
+            );
             let mut x_hat = Tensor::zeros(input.dims());
             let mut inv_stds = vec![0.0f32; c];
             for (ci, inv_std_out) in inv_stds.iter_mut().enumerate() {
@@ -207,7 +210,9 @@ impl Layer for BatchNorm2d {
         path.scoped("running_mean", |p| {
             f(p.as_str(), self.running_mean.data_mut())
         });
-        path.scoped("running_var", |p| f(p.as_str(), self.running_var.data_mut()));
+        path.scoped("running_var", |p| {
+            f(p.as_str(), self.running_var.data_mut())
+        });
     }
 
     fn export_infer_ops(

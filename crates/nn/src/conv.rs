@@ -48,7 +48,12 @@ impl Conv2d {
         );
         Conv2d {
             weight,
-            bias: bias.then(|| (Tensor::zeros(&[out_channels]), Tensor::zeros(&[out_channels]))),
+            bias: bias.then(|| {
+                (
+                    Tensor::zeros(&[out_channels]),
+                    Tensor::zeros(&[out_channels]),
+                )
+            }),
             spec,
             in_channels,
             out_channels,
@@ -135,7 +140,9 @@ impl Layer for Conv2d {
     fn visit_params_named(&mut self, path: &mut ParamPath, f: &mut dyn FnMut(ParamMut<'_>)) {
         path.scoped("weight", |p| self.weight.visit_params_named(p, &mut *f));
         if let Some((b, gb)) = &mut self.bias {
-            path.scoped("bias", |p| f(ParamMut::new(p.as_str(), ParamRole::Bias, b, gb)));
+            path.scoped("bias", |p| {
+                f(ParamMut::new(p.as_str(), ParamRole::Bias, b, gb))
+            });
         }
     }
 
@@ -302,10 +309,12 @@ impl Layer for DepthwiseConv2d {
             self.channels,
             "depthwise input channel mismatch"
         );
-        let w = self
-            .weight
-            .materialize()
-            .reshape(&[self.channels, 1, self.spec.kernel, self.spec.kernel]);
+        let w = self.weight.materialize().reshape(&[
+            self.channels,
+            1,
+            self.spec.kernel,
+            self.spec.kernel,
+        ]);
         let y = csq_tensor::conv::depthwise_conv2d(input, &w, self.spec);
         if train {
             self.cached_input = Some(input.clone());
@@ -427,7 +436,11 @@ mod depthwise_tests {
             fn backward(&mut self, g: &Tensor) {
                 self.0.backward(&g.mul_scalar(2.0));
             }
-            fn visit_params_named(&mut self, path: &mut ParamPath, f: &mut dyn FnMut(ParamMut<'_>)) {
+            fn visit_params_named(
+                &mut self,
+                path: &mut ParamPath,
+                f: &mut dyn FnMut(ParamMut<'_>),
+            ) {
                 self.0.visit_params_named(path, f);
             }
             fn precision(&self) -> Option<f32> {

@@ -56,6 +56,7 @@ pub mod residual;
 pub mod sequential;
 pub mod weight;
 
+pub use activation::Pact;
 pub use activation::{ActQuant, Relu};
 pub use batchnorm::BatchNorm2d;
 pub use checkpoint::Checkpoint;
@@ -65,7 +66,6 @@ pub use layer::{Layer, ParamMut, ParamPath, ParamRole};
 pub use linear::Linear;
 pub use loss::softmax_cross_entropy;
 pub use metrics::accuracy;
-pub use activation::Pact;
 pub use optim::{Adam, CosineSchedule, OptimState, OptimStateError, Sgd};
 pub use persist::PersistError;
 pub use pool::{AvgPool2d, Flatten, GlobalAvgPool, MaxPool2d};

@@ -38,7 +38,12 @@ impl Linear {
         );
         Linear {
             weight,
-            bias: bias.then(|| (Tensor::zeros(&[out_features]), Tensor::zeros(&[out_features]))),
+            bias: bias.then(|| {
+                (
+                    Tensor::zeros(&[out_features]),
+                    Tensor::zeros(&[out_features]),
+                )
+            }),
             in_features,
             out_features,
             cached_input: None,
@@ -50,7 +55,12 @@ impl Linear {
     pub fn with_float_weights(in_features: usize, out_features: usize, seed: u64) -> Self {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let w = init::kaiming_uniform(&[out_features, in_features], &mut rng);
-        Self::new(Box::new(FloatWeight::new(w)), in_features, out_features, true)
+        Self::new(
+            Box::new(FloatWeight::new(w)),
+            in_features,
+            out_features,
+            true,
+        )
     }
 
     /// Input feature count.
@@ -99,10 +109,8 @@ impl Layer for Linear {
         // dW = dYᵀ · X ; dX = dY · W ; db = Σ_batch dY
         // The two matmuls are independent — run them as a deterministic
         // fork/join pair (each side is itself row-parallel).
-        let (grad_w, grad_input) = csq_tensor::par::par_join(
-            || grad_output.matmul_tn(&input),
-            || grad_output.matmul(&w),
-        );
+        let (grad_w, grad_input) =
+            csq_tensor::par::par_join(|| grad_output.matmul_tn(&input), || grad_output.matmul(&w));
         self.weight.backward(&grad_w);
         if let Some((_, gb)) = &mut self.bias {
             gb.add_assign_t(&reduce::sum_rows(grad_output));
@@ -113,7 +121,9 @@ impl Layer for Linear {
     fn visit_params_named(&mut self, path: &mut ParamPath, f: &mut dyn FnMut(ParamMut<'_>)) {
         path.scoped("weight", |p| self.weight.visit_params_named(p, &mut *f));
         if let Some((b, gb)) = &mut self.bias {
-            path.scoped("bias", |p| f(ParamMut::new(p.as_str(), ParamRole::Bias, b, gb)));
+            path.scoped("bias", |p| {
+                f(ParamMut::new(p.as_str(), ParamRole::Bias, b, gb))
+            });
         }
     }
 
@@ -197,8 +207,8 @@ mod tests {
         xp.axpy(eps, &dx);
         let mut xm = x.clone();
         xm.axpy(-eps, &dx);
-        let num = (layer.forward(&xp, false).dot(&gy) - layer.forward(&xm, false).dot(&gy))
-            / (2.0 * eps);
+        let num =
+            (layer.forward(&xp, false).dot(&gy) - layer.forward(&xm, false).dot(&gy)) / (2.0 * eps);
         assert!((num - gx.dot(&dx)).abs() < 5e-2);
     }
 

@@ -308,8 +308,7 @@ pub fn vgg19bn(cfg: ModelConfig, factory: &mut WeightFactory<'_>) -> Sequential 
     let scale = |c: usize| -> usize { ((c * cfg.width) / 64).max(1) };
     // '0' encodes a max-pool in the classic VGG config string.
     let plan: [usize; 21] = [
-        64, 64, 0, 128, 128, 0, 256, 256, 256, 256, 0, 512, 512, 512, 512, 0, 512, 512, 512, 512,
-        0,
+        64, 64, 0, 128, 128, 0, 256, 256, 256, 256, 0, 512, 512, 512, 512, 0, 512, 512, 512, 512, 0,
     ];
     let mut layers: Vec<Box<dyn Layer>> = Vec::new();
     let mut in_c = cfg.input_channels;
@@ -566,7 +565,7 @@ mod mobilenet_tests {
     fn mobilenet_v2_forward_shape() {
         let cfg = ModelConfig::cifar_like(8, None, 0);
         let mut fac = float_factory();
-        let mut m = mobilenet_v2(cfg, &mut fac, );
+        let mut m = mobilenet_v2(cfg, &mut fac);
         let y = m.forward(&Tensor::ones(&[1, 3, 16, 16]), false);
         assert_eq!(y.dims(), &[1, 10]);
     }

@@ -31,7 +31,11 @@ const CRC_TABLE: [u32; 256] = {
         let mut c = i as u32;
         let mut k = 0;
         while k < 8 {
-            c = if c & 1 == 1 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
+            c = if c & 1 == 1 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
             k += 1;
         }
         table[i] = c;
@@ -196,8 +200,7 @@ pub fn verify_checksummed(bytes: &[u8]) -> Result<&[u8], PersistError> {
     let mut parts = header.split(' ');
     let crc_hex = parts.next().ok_or(PersistError::MissingHeader)?;
     let len_dec = parts.next().ok_or(PersistError::MissingHeader)?;
-    let expected_crc =
-        u32::from_str_radix(crc_hex, 16).map_err(|_| PersistError::MissingHeader)?;
+    let expected_crc = u32::from_str_radix(crc_hex, 16).map_err(|_| PersistError::MissingHeader)?;
     let expected_len: usize = len_dec.parse().map_err(|_| PersistError::MissingHeader)?;
     let payload = &rest[newline + 1..];
     if payload.len() != expected_len {
@@ -240,7 +243,10 @@ mod tests {
     fn crc32_known_vectors() {
         assert_eq!(crc32(b""), 0);
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b"The quick brown fox jumps over the lazy dog"), 0x414F_A339);
+        assert_eq!(
+            crc32(b"The quick brown fox jumps over the lazy dog"),
+            0x414F_A339
+        );
     }
 
     #[test]
@@ -272,7 +278,10 @@ mod tests {
         bytes[last] ^= 0x40;
         std::fs::write(&path, &bytes).unwrap();
         let err = read_checksummed(&path).unwrap_err();
-        assert!(matches!(err, PersistError::ChecksumMismatch { .. }), "{err}");
+        assert!(
+            matches!(err, PersistError::ChecksumMismatch { .. }),
+            "{err}"
+        );
         std::fs::remove_file(&path).ok();
     }
 

@@ -19,7 +19,10 @@ impl MaxPool2d {
     ///
     /// Panics if either is zero.
     pub fn new(window: usize, stride: usize) -> Self {
-        assert!(window > 0 && stride > 0, "window and stride must be positive");
+        assert!(
+            window > 0 && stride > 0,
+            "window and stride must be positive"
+        );
         MaxPool2d {
             window,
             stride,
@@ -79,7 +82,10 @@ impl AvgPool2d {
     ///
     /// Panics if either is zero.
     pub fn new(window: usize, stride: usize) -> Self {
-        assert!(window > 0 && stride > 0, "window and stride must be positive");
+        assert!(
+            window > 0 && stride > 0,
+            "window and stride must be positive"
+        );
         AvgPool2d {
             window,
             stride,

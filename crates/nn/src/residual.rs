@@ -187,8 +187,13 @@ mod tests {
             Box::new(BatchNorm2d::new(4)),
         ]);
         let shortcut = Sequential::new(vec![
-            Box::new(Conv2d::with_float_weights(2, 4, ConvSpec::new(1, 2, 0), false, 2))
-                as Box<dyn Layer>,
+            Box::new(Conv2d::with_float_weights(
+                2,
+                4,
+                ConvSpec::new(1, 2, 0),
+                false,
+                2,
+            )) as Box<dyn Layer>,
             Box::new(BatchNorm2d::new(4)),
         ]);
         let post = Sequential::new(vec![Box::new(Relu::new()) as Box<dyn Layer>]);

@@ -14,11 +14,23 @@ use rand_chacha::ChaCha8Rng;
 
 fn composite_model() -> Sequential {
     Sequential::new(vec![
-        Box::new(Conv2d::with_float_weights(2, 4, ConvSpec::new(3, 1, 1), true, 1)),
+        Box::new(Conv2d::with_float_weights(
+            2,
+            4,
+            ConvSpec::new(3, 1, 1),
+            true,
+            1,
+        )),
         Box::new(BatchNorm2d::new(4)),
         Box::new(Relu::new()),
         Box::new(MaxPool2d::new(2, 2)),
-        Box::new(Conv2d::with_float_weights(4, 4, ConvSpec::new(3, 1, 1), false, 2)),
+        Box::new(Conv2d::with_float_weights(
+            4,
+            4,
+            ConvSpec::new(3, 1, 1),
+            false,
+            2,
+        )),
         Box::new(Relu::new()),
         Box::new(AvgPool2d::new(2, 2)),
         Box::new(Flatten::new()),
@@ -113,8 +125,13 @@ fn composite_network_input_gradient_matches_finite_difference() {
 #[test]
 fn global_avgpool_in_composition() {
     let mut model = Sequential::new(vec![
-        Box::new(Conv2d::with_float_weights(1, 3, ConvSpec::new(3, 1, 1), false, 4))
-            as Box<dyn Layer>,
+        Box::new(Conv2d::with_float_weights(
+            1,
+            3,
+            ConvSpec::new(3, 1, 1),
+            false,
+            4,
+        )) as Box<dyn Layer>,
         Box::new(Relu::new()),
         Box::new(GlobalAvgPool::new()),
         Box::new(Linear::with_float_weights(3, 2, 5)),
@@ -135,8 +152,8 @@ fn global_avgpool_in_composition() {
     xp.axpy(eps, &dx);
     let mut xm = x.clone();
     xm.axpy(-eps, &dx);
-    let num = (loss_of2(&mut model, &xp, &labels) - loss_of2(&mut model, &xm, &labels))
-        / (2.0 * eps);
+    let num =
+        (loss_of2(&mut model, &xp, &labels) - loss_of2(&mut model, &xm, &labels)) / (2.0 * eps);
     assert!((num - gx.dot(&dx)).abs() < 0.05 * (1.0 + num.abs()));
 
     fn loss_of2(model: &mut Sequential, x: &Tensor, labels: &[usize]) -> f32 {

@@ -76,7 +76,9 @@ impl JsonlSink {
     /// Opens (creating / appending) `path` for event output.
     pub fn create(path: &str) -> std::io::Result<JsonlSink> {
         let file = OpenOptions::new().create(true).append(true).open(path)?;
-        Ok(JsonlSink { file: Mutex::new(file) })
+        Ok(JsonlSink {
+            file: Mutex::new(file),
+        })
     }
 }
 
@@ -223,7 +225,12 @@ impl SpanGuard {
         fields: Vec<(String, String)>,
     ) -> SpanGuard {
         if !enabled() {
-            return SpanGuard { target, name, start_us: 0, active: false };
+            return SpanGuard {
+                target,
+                name,
+                start_us: 0,
+                active: false,
+            };
         }
         let depth = SPAN_DEPTH.with(|d| {
             let cur = d.get();
@@ -240,7 +247,12 @@ impl SpanGuard {
             name: name.to_string(),
             fields,
         });
-        SpanGuard { target, name, start_us, active: true }
+        SpanGuard {
+            target,
+            name,
+            start_us,
+            active: true,
+        }
     }
 }
 
@@ -259,7 +271,9 @@ impl Drop for SpanGuard {
             ts_us: now,
             thread: thread_ordinal(),
             depth,
-            kind: EventKind::Exit { dur_us: now.saturating_sub(self.start_us) },
+            kind: EventKind::Exit {
+                dur_us: now.saturating_sub(self.start_us),
+            },
             target: self.target.to_string(),
             name: self.name.to_string(),
             fields: Vec::new(),

@@ -69,11 +69,7 @@ pub fn maxpool2d(input: &Tensor, k: usize, s: usize) -> MaxPoolOutput {
 /// # Panics
 ///
 /// Panics if `grad_output.numel() != argmax.len()`.
-pub fn maxpool2d_backward(
-    grad_output: &Tensor,
-    argmax: &[usize],
-    input_dims: &[usize],
-) -> Tensor {
+pub fn maxpool2d_backward(grad_output: &Tensor, argmax: &[usize], input_dims: &[usize]) -> Tensor {
     assert_eq!(
         grad_output.numel(),
         argmax.len(),
@@ -256,7 +252,10 @@ mod tests {
 
     #[test]
     fn avgpool_adjoint_identity() {
-        let x = Tensor::from_vec((0..36).map(|v| v as f32 * 0.3 - 5.0).collect(), &[1, 1, 6, 6]);
+        let x = Tensor::from_vec(
+            (0..36).map(|v| v as f32 * 0.3 - 5.0).collect(),
+            &[1, 1, 6, 6],
+        );
         let y = avgpool2d(&x, 3, 3);
         let gy = Tensor::from_vec(vec![1.0, -2.0, 0.5, 3.0], &[1, 1, 2, 2]);
         let gx = avgpool2d_backward(&gy, x.dims(), 3, 3);

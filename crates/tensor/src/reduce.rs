@@ -186,11 +186,15 @@ mod tests {
     #[test]
     fn parallel_matches_serial_bitexact() {
         let logits = Tensor::from_vec(
-            (0..64 * 10).map(|i| ((i * 37) % 23) as f32 * 0.3 - 3.0).collect(),
+            (0..64 * 10)
+                .map(|i| ((i * 37) % 23) as f32 * 0.3 - 3.0)
+                .collect(),
             &[64, 10],
         );
         let nchw = Tensor::from_vec(
-            (0..4 * 6 * 5 * 5).map(|i| (i as f32) * 0.01 - 1.5).collect(),
+            (0..4 * 6 * 5 * 5)
+                .map(|i| (i as f32) * 0.01 - 1.5)
+                .collect(),
             &[4, 6, 5, 5],
         );
         let run = || {

@@ -543,8 +543,18 @@ impl Default for Tensor {
 impl std::fmt::Display for Tensor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "Tensor{} ", self.shape)?;
-        let preview: Vec<String> = self.data.iter().take(8).map(|v| format!("{v:.4}")).collect();
-        write!(f, "[{}{}]", preview.join(", "), if self.numel() > 8 { ", …" } else { "" })
+        let preview: Vec<String> = self
+            .data
+            .iter()
+            .take(8)
+            .map(|v| format!("{v:.4}"))
+            .collect();
+        write!(
+            f,
+            "[{}{}]",
+            preview.join(", "),
+            if self.numel() > 8 { ", …" } else { "" }
+        )
     }
 }
 

@@ -81,7 +81,9 @@ fn traced_training_is_bit_identical_to_untraced_at_any_thread_count() {
     // flight ring, and telemetry reached the global registry.
     let events = csq_repro::obs::flight::global().recent();
     assert!(
-        events.iter().any(|e| e.target == "train" && e.name == "epoch"),
+        events
+            .iter()
+            .any(|e| e.target == "train" && e.name == "epoch"),
         "traced runs must record epoch spans"
     );
     let snap = csq_repro::obs::global_registry().snapshot();
@@ -90,7 +92,9 @@ fn traced_training_is_bit_identical_to_untraced_at_any_thread_count() {
         "telemetry must publish the loss series"
     );
     assert!(
-        snap.series.keys().any(|k| k.starts_with("train.layer_bits.")),
+        snap.series
+            .keys()
+            .any(|k| k.starts_with("train.layer_bits.")),
         "telemetry must publish per-layer bit series"
     );
 }

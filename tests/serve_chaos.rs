@@ -144,7 +144,11 @@ fn chaos_survivors_are_bit_identical_and_failures_are_typed() {
     }
     // Two kills take down one request each (their reply senders drop);
     // the poisoned batch fails its one request with a contained panic.
-    assert_eq!(failed.len(), 3, "exactly the injected faults fail: {failed:?}");
+    assert_eq!(
+        failed.len(),
+        3,
+        "exactly the injected faults fail: {failed:?}"
+    );
 
     // The engine recovered: retry every failure and demand exact bits.
     for &i in &failed {
@@ -178,7 +182,10 @@ fn poisoned_batch_fails_alone_and_worker_survives() {
     let err = engine.infer(sample(0)).unwrap_err();
     match err {
         ServeError::WorkerFailed { detail } => {
-            assert!(detail.contains("poisoned"), "detail names the cause: {detail}")
+            assert!(
+                detail.contains("poisoned"),
+                "detail names the cause: {detail}"
+            )
         }
         other => panic!("expected WorkerFailed, got {other}"),
     }
@@ -230,8 +237,12 @@ fn hot_swap_under_live_traffic_drops_nothing() {
     let model_b = tiny(9);
     const CLIENTS: usize = 4;
     const PER_CLIENT: usize = 40;
-    let refs_a: Vec<Vec<f32>> = (0..8).map(|i| reference_row(&model_a, &sample(i))).collect();
-    let refs_b: Vec<Vec<f32>> = (0..8).map(|i| reference_row(&model_b, &sample(i))).collect();
+    let refs_a: Vec<Vec<f32>> = (0..8)
+        .map(|i| reference_row(&model_a, &sample(i)))
+        .collect();
+    let refs_b: Vec<Vec<f32>> = (0..8)
+        .map(|i| reference_row(&model_b, &sample(i)))
+        .collect();
 
     let engine = Engine::start(
         tiny(0),
@@ -377,7 +388,11 @@ fn overload_bursts_shed_typed_and_accepted_work_stays_exact() {
     let accepted = tickets.len() as u64;
     for ticket in tickets {
         let row = ticket.wait().unwrap();
-        assert_eq!(row.data(), &want[..], "accepted request changed bits under overload");
+        assert_eq!(
+            row.data(),
+            &want[..],
+            "accepted request changed bits under overload"
+        );
     }
     let stats = engine.stats();
     assert_eq!(stats.shed, shed);
@@ -455,21 +470,31 @@ fn flight_recorder_postmortem_names_worker_trace_ids_and_restart() {
             "header line names the dump reason: {header}"
         );
         for line in lines {
-            let ev: serde_json::Value =
-                serde_json::from_str(line).unwrap_or_else(|e| panic!("bad JSONL line ({e}): {line}"));
+            let ev: serde_json::Value = serde_json::from_str(line)
+                .unwrap_or_else(|e| panic!("bad JSONL line ({e}): {line}"));
             let ev_name = ev.get("name").and_then(|v| v.as_str()).unwrap_or("");
             let field = |key: &str| -> Option<String> {
-                ev.get("fields").and_then(|f| f.as_array()).and_then(|fields| {
-                    fields.iter().find_map(|kv| match kv.as_array().map(Vec::as_slice) {
-                        Some([k, v]) if k.as_str() == Some(key) => Some(v.as_str().unwrap_or("").to_string()),
-                        _ => None,
+                ev.get("fields")
+                    .and_then(|f| f.as_array())
+                    .and_then(|fields| {
+                        fields
+                            .iter()
+                            .find_map(|kv| match kv.as_array().map(Vec::as_slice) {
+                                Some([k, v]) if k.as_str() == Some(key) => {
+                                    Some(v.as_str().unwrap_or("").to_string())
+                                }
+                                _ => None,
+                            })
                     })
-                })
             };
             if ev_name == "chaos_kill" {
                 let ids = field("trace_ids").unwrap_or_default();
                 if ids.split(',').any(|id| id == killed_id) {
-                    assert_eq!(field("worker").as_deref(), Some("0"), "kill names the worker");
+                    assert_eq!(
+                        field("worker").as_deref(),
+                        Some("0"),
+                        "kill names the worker"
+                    );
                     saw_kill = true;
                 }
             }
@@ -478,7 +503,10 @@ fn flight_recorder_postmortem_names_worker_trace_ids_and_restart() {
             }
         }
     }
-    assert!(saw_kill, "a postmortem records the chaos kill with the failed trace id");
+    assert!(
+        saw_kill,
+        "a postmortem records the chaos kill with the failed trace id"
+    );
     assert!(saw_restart, "a postmortem records the supervisor restart");
 }
 
@@ -517,6 +545,10 @@ fn seeded_chaos_drills_replay_exactly() {
     }
     for i in retry {
         let row = engine.infer(sample(i)).unwrap();
-        assert_eq!(row.data(), &reference_row(&model, &sample(i))[..], "retry {i}");
+        assert_eq!(
+            row.data(),
+            &reference_row(&model, &sample(i))[..],
+            "retry {i}"
+        );
     }
 }
