@@ -27,9 +27,10 @@ use csq_core::prelude::*;
 use csq_core::trainer::{evaluate, fit, FitConfig};
 use csq_nn::activation::ActMode;
 use csq_nn::Layer;
-use serde::{Deserialize, Serialize};
+use csq_obs::json::{field, FromJson, Value};
+use serde::Serialize;
 
-#[derive(Debug, Serialize, Deserialize)]
+#[derive(Debug, Serialize)]
 struct AblationResult {
     name: String,
     variant: String,
@@ -38,6 +39,20 @@ struct AblationResult {
     bits_per_epoch: Vec<f32>,
     precision_collapsed: bool,
     soft_acc: Option<f32>,
+}
+
+impl FromJson for AblationResult {
+    fn from_json(v: &Value, ctx: &str) -> Result<Self, String> {
+        Ok(AblationResult {
+            name: field(v, ctx, "name")?,
+            variant: field(v, ctx, "variant")?,
+            final_bits: field(v, ctx, "final_bits")?,
+            final_acc: field(v, ctx, "final_acc")?,
+            bits_per_epoch: field(v, ctx, "bits_per_epoch")?,
+            precision_collapsed: field(v, ctx, "precision_collapsed")?,
+            soft_acc: field(v, ctx, "soft_acc")?,
+        })
+    }
 }
 
 fn run_variant(

@@ -18,14 +18,26 @@
 
 use csq_bench::{write_results, Arch, BenchScale, Campaign};
 use csq_core::prelude::*;
-use serde::{Deserialize, Serialize};
+use csq_obs::json::{field, FromJson, Value};
+use serde::Serialize;
 
-#[derive(Debug, Serialize, Deserialize)]
+#[derive(Debug, Serialize)]
 struct LambdaSeries {
     lambda: f32,
     bits_per_epoch: Vec<f32>,
     final_bits: f32,
     reached_target: bool,
+}
+
+impl FromJson for LambdaSeries {
+    fn from_json(v: &Value, ctx: &str) -> Result<Self, String> {
+        Ok(LambdaSeries {
+            lambda: field(v, ctx, "lambda")?,
+            bits_per_epoch: field(v, ctx, "bits_per_epoch")?,
+            final_bits: field(v, ctx, "final_bits")?,
+            reached_target: field(v, ctx, "reached_target")?,
+        })
+    }
 }
 
 fn main() {

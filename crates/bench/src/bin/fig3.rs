@@ -13,14 +13,26 @@
 
 use csq_bench::{write_results, Arch, BenchScale, Campaign};
 use csq_core::prelude::*;
-use serde::{Deserialize, Serialize};
+use csq_obs::json::{field, FromJson, Value};
+use serde::Serialize;
 
-#[derive(Debug, Serialize, Deserialize)]
+#[derive(Debug, Serialize)]
 struct TargetSeries {
     target: f32,
     bits_per_epoch: Vec<f32>,
     final_bits: f32,
     final_acc: f32,
+}
+
+impl FromJson for TargetSeries {
+    fn from_json(v: &Value, ctx: &str) -> Result<Self, String> {
+        Ok(TargetSeries {
+            target: field(v, ctx, "target")?,
+            bits_per_epoch: field(v, ctx, "bits_per_epoch")?,
+            final_bits: field(v, ctx, "final_bits")?,
+            final_acc: field(v, ctx, "final_acc")?,
+        })
+    }
 }
 
 fn main() {

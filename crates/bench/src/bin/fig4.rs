@@ -16,15 +16,27 @@
 
 use csq_bench::{write_results, Arch, BenchScale, Campaign};
 use csq_core::prelude::*;
-use serde::{Deserialize, Serialize};
+use csq_obs::json::{field, FromJson, Value};
+use serde::Serialize;
 
-#[derive(Debug, Serialize, Deserialize)]
+#[derive(Debug, Serialize)]
 struct LayerwiseScheme {
     target: f32,
     layer_bits: Vec<f32>,
     /// Layer paths matching `layer_bits` column-for-column.
     layer_paths: Vec<String>,
     avg_bits: f32,
+}
+
+impl FromJson for LayerwiseScheme {
+    fn from_json(v: &Value, ctx: &str) -> Result<Self, String> {
+        Ok(LayerwiseScheme {
+            target: field(v, ctx, "target")?,
+            layer_bits: field(v, ctx, "layer_bits")?,
+            layer_paths: field(v, ctx, "layer_paths")?,
+            avg_bits: field(v, ctx, "avg_bits")?,
+        })
+    }
 }
 
 fn main() {

@@ -32,7 +32,8 @@ use csq_nn::activation::ActMode;
 use csq_nn::models::{resnet18, resnet50, resnet_cifar, vgg19bn, ModelConfig};
 use csq_nn::weight::float_factory;
 use csq_nn::{Layer, Sequential};
-use serde::{Deserialize, Serialize};
+use csq_obs::json::{field, FromJson, Value};
+use serde::Serialize;
 use std::path::{Path, PathBuf};
 
 /// Scale parameters shared by every experiment binary.
@@ -240,7 +241,7 @@ impl Method {
 }
 
 /// Outcome of one training run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct RunResult {
     /// Method label.
     pub method: String,
@@ -258,6 +259,21 @@ pub struct RunResult {
     pub layer_bits: Vec<f32>,
     /// Wall-clock seconds for the run.
     pub seconds: f32,
+}
+
+impl FromJson for RunResult {
+    fn from_json(v: &Value, ctx: &str) -> Result<Self, String> {
+        Ok(RunResult {
+            method: field(v, ctx, "method")?,
+            w_bits: field(v, ctx, "w_bits")?,
+            avg_bits: field(v, ctx, "avg_bits")?,
+            compression: field(v, ctx, "compression")?,
+            accuracy: field(v, ctx, "accuracy")?,
+            bits_history: field(v, ctx, "bits_history")?,
+            layer_bits: field(v, ctx, "layer_bits")?,
+            seconds: field(v, ctx, "seconds")?,
+        })
+    }
 }
 
 /// True when the binary was launched with `--summary`: table binaries
@@ -587,19 +603,18 @@ impl Campaign {
     }
 
     /// Returns the cached value for `key` when resuming, otherwise runs
-    /// `f` and caches its result. Cache failures are non-fatal: an
-    /// unreadable or corrupt entry just means the run is redone.
-    pub fn run<T>(&self, key: &str, f: impl FnOnce() -> T) -> T
-    where
-        T: Serialize + for<'de> serde::Deserialize<'de>,
-    {
+    /// `f` and caches its result. Cache failures are non-fatal: an entry
+    /// that exists but is corrupt or does not decode is reported with
+    /// its key and the error, and the run is redone.
+    pub fn run<T: Serialize + FromJson>(&self, key: &str, f: impl FnOnce() -> T) -> T {
         let path = self.path_for(key);
-        if self.resume {
-            if let Ok(payload) = csq_nn::persist::read_checksummed(&path) {
-                if let Ok(cached) = serde_json::from_slice::<T>(&payload) {
+        if self.resume && path.exists() {
+            match read_entry(&path) {
+                Ok(cached) => {
                     println!("[cached {key}]");
                     return cached;
                 }
+                Err(e) => println!("[cache entry {key} is unusable, rerunning: {e}]"),
             }
         }
         let result = f();
@@ -623,6 +638,13 @@ impl Campaign {
     ) -> RunResult {
         self.run(key, || run_method(arch, method, act_bits, scale))
     }
+}
+
+/// Reads one checksummed campaign cache entry.
+fn read_entry<T: FromJson>(path: &Path) -> Result<T, String> {
+    let payload = csq_nn::persist::read_checksummed(path).map_err(|e| e.to_string())?;
+    let v: Value = serde_json::from_slice(&payload).map_err(|e| format!("entry: {e}"))?;
+    T::from_json(&v, "entry")
 }
 
 #[cfg(test)]
@@ -750,6 +772,17 @@ mod tests {
                 .run("row a/b", || mk(0.9))
                 .accuracy,
             0.9
+        );
+        // So is an intact entry that does not decode, with the field
+        // that failed named.
+        csq_nn::persist::write_checksummed(&path, br#"{"method": "FP"}"#).unwrap();
+        let err = read_entry::<RunResult>(&path).unwrap_err();
+        assert_eq!(err, "entry.w_bits: missing");
+        assert_eq!(
+            Campaign::new(name, true)
+                .run("row a/b", || mk(0.8))
+                .accuracy,
+            0.8
         );
         std::fs::remove_dir_all(PathBuf::from("bench_results").join(".campaign").join(name)).ok();
     }

@@ -8,7 +8,8 @@
 //! that the `Comp(×)` columns of the paper promise.
 
 use csq_nn::Layer;
-use serde::{Deserialize, Serialize};
+use csq_obs::json::{field, FromJson, Value};
+use serde::Serialize;
 
 /// Error produced when a model cannot be packed.
 #[derive(Debug, Clone, PartialEq)]
@@ -62,7 +63,7 @@ impl std::error::Error for PackError {}
 
 /// One layer's weights in fixed-point form: integer codes and the scale
 /// that reconstructs floats as `code · step`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct PackedWeight {
     /// Stable path of the source weight tensor.
     pub path: String,
@@ -74,6 +75,18 @@ pub struct PackedWeight {
     pub dims: Vec<usize>,
     /// Assigned precision in bits (mask-selected bit count).
     pub bits: f32,
+}
+
+impl FromJson for PackedWeight {
+    fn from_json(v: &Value, ctx: &str) -> Result<Self, String> {
+        Ok(PackedWeight {
+            path: field(v, ctx, "path")?,
+            codes: field(v, ctx, "codes")?,
+            step: field(v, ctx, "step")?,
+            dims: field(v, ctx, "dims")?,
+            bits: field(v, ctx, "bits")?,
+        })
+    }
 }
 
 impl PackedWeight {
@@ -112,7 +125,7 @@ impl PackedWeight {
 /// assert!(packed.size_bytes() < packed.fp32_size_bytes());
 /// # Ok::<(), csq_core::pack::PackError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PackedModel {
     /// Per-layer packed weights, in model order.
     pub layers: Vec<PackedWeight>,
@@ -302,9 +315,11 @@ mod tests {
     fn serde_round_trip() {
         let mut m = finalized_model();
         let packed = PackedModel::pack(&mut m).unwrap();
-        let json = serde_json::to_string(&packed).unwrap();
-        let back: PackedModel = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, packed);
+        for (i, w) in packed.layers.iter().enumerate() {
+            let json = serde_json::to_string(w).unwrap();
+            let back: PackedWeight = csq_obs::json::parse(&json, "weight").unwrap();
+            assert_eq!(&back, w, "layer {i}");
+        }
     }
 
     #[test]

@@ -45,11 +45,12 @@ use csq_nn::checkpoint::RestoreError;
 use csq_nn::optim::OptimStateError;
 use csq_nn::persist::{self, PersistError};
 use csq_nn::{Checkpoint, Layer, OptimState};
-use serde::{Deserialize, Serialize};
+use csq_obs::json::{field, variant, FromJson, Value};
+use serde::Serialize;
 use std::path::Path;
 
 /// Which phase of Algorithm 1 a snapshot was taken in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum TrainPhase {
     /// Phase 1: CSQ training with β scheduling and the budget regularizer.
     Csq,
@@ -57,13 +58,24 @@ pub enum TrainPhase {
     Finetune,
 }
 
+impl FromJson for TrainPhase {
+    fn from_json(v: &Value, ctx: &str) -> Result<Self, String> {
+        match variant(v, ctx)?.0 {
+            "Csq" => Ok(TrainPhase::Csq),
+            "Finetune" => Ok(TrainPhase::Finetune),
+            other => Err(format!("{ctx}: unknown phase `{other}`")),
+        }
+    }
+}
+
 /// Error saving, loading or restoring a [`TrainSnapshot`].
 #[derive(Debug)]
 pub enum SnapshotError {
     /// Filesystem or integrity (checksum/truncation) failure.
     Persist(PersistError),
-    /// The payload is not a valid snapshot document.
-    Json(serde_json::Error),
+    /// The payload is not a valid snapshot document; the message starts
+    /// with the offending field's path (`snapshot.history[2].loss`).
+    Json(String),
     /// The snapshot was written by an incompatible format version.
     VersionMismatch {
         /// Version found in the file.
@@ -119,7 +131,6 @@ impl std::error::Error for SnapshotError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             SnapshotError::Persist(e) => Some(e),
-            SnapshotError::Json(e) => Some(e),
             SnapshotError::Restore(e) => Some(e),
             SnapshotError::Optim(e) => Some(e),
             _ => None,
@@ -130,12 +141,6 @@ impl std::error::Error for SnapshotError {
 impl From<PersistError> for SnapshotError {
     fn from(e: PersistError) -> Self {
         SnapshotError::Persist(e)
-    }
-}
-
-impl From<serde_json::Error> for SnapshotError {
-    fn from(e: serde_json::Error) -> Self {
-        SnapshotError::Json(e)
     }
 }
 
@@ -157,7 +162,7 @@ impl From<OptimStateError> for SnapshotError {
 /// round-trip bit-exactly: every field is either an integer or an `f32`
 /// whose JSON encoding (via `f64`) is lossless, so a resumed run
 /// reproduces the interrupted run's trajectory exactly.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct TrainSnapshot {
     /// Format version ([`TrainSnapshot::VERSION`]).
     pub version: u32,
@@ -195,6 +200,28 @@ pub struct TrainSnapshot {
     /// parallel runtime is deterministic, so resuming under a different
     /// count is safe and only triggers a warning.
     pub threads: usize,
+}
+
+impl FromJson for TrainSnapshot {
+    fn from_json(v: &Value, ctx: &str) -> Result<Self, String> {
+        Ok(TrainSnapshot {
+            version: field(v, ctx, "version")?,
+            phase: field(v, ctx, "phase")?,
+            epochs_done: field(v, ctx, "epochs_done")?,
+            total_epochs: field(v, ctx, "total_epochs")?,
+            beta: field(v, ctx, "beta")?,
+            lr_scale: field(v, ctx, "lr_scale")?,
+            seed: field(v, ctx, "seed")?,
+            mask_frozen: field(v, ctx, "mask_frozen")?,
+            lambda: field(v, ctx, "lambda")?,
+            target_bits: field(v, ctx, "target_bits")?,
+            history: field(v, ctx, "history")?,
+            params: field(v, ctx, "params")?,
+            layer_state: field(v, ctx, "layer_state")?,
+            optim: field(v, ctx, "optim")?,
+            threads: field(v, ctx, "threads")?,
+        })
+    }
 }
 
 /// Collects every non-parameter state buffer of `model`, keyed by its
@@ -281,7 +308,7 @@ impl TrainSnapshot {
     ///
     /// [`SnapshotError`] on serialization or filesystem failure.
     pub fn save(&self, path: &Path) -> Result<(), SnapshotError> {
-        let payload = serde_json::to_vec(self)?;
+        let payload = serde_json::to_vec(self).map_err(|e| SnapshotError::Json(e.to_string()))?;
         persist::write_checksummed(path, &payload).map_err(PersistError::Io)?;
         Ok(())
     }
@@ -297,18 +324,18 @@ impl TrainSnapshot {
     /// other format version.
     pub fn load(path: &Path) -> Result<TrainSnapshot, SnapshotError> {
         let payload = persist::read_checksummed(path)?;
+        let doc: Value = serde_json::from_slice(&payload)
+            .map_err(|e| SnapshotError::Json(format!("snapshot: {e}")))?;
         // Check the version before decoding the fields, so a file from
         // another format version gets a version error, not a schema one.
-        let doc: serde_json::Value = serde_json::from_slice(&payload)?;
-        if let Some(found) = doc.get("version").and_then(serde_json::Value::as_u64) {
-            if found != u64::from(Self::VERSION) {
-                return Err(SnapshotError::VersionMismatch {
-                    found: u32::try_from(found).unwrap_or(u32::MAX),
-                    supported: Self::VERSION,
-                });
-            }
+        let found: u64 = field(&doc, "snapshot", "version").map_err(SnapshotError::Json)?;
+        if found != u64::from(Self::VERSION) {
+            return Err(SnapshotError::VersionMismatch {
+                found: u32::try_from(found).unwrap_or(u32::MAX),
+                supported: Self::VERSION,
+            });
         }
-        Ok(serde_json::from_slice(&payload)?)
+        TrainSnapshot::from_json(&doc, "snapshot").map_err(SnapshotError::Json)
     }
 }
 

@@ -4,10 +4,11 @@
 
 use crate::budget::model_precision;
 use csq_nn::Layer;
-use serde::{Deserialize, Serialize};
+use csq_obs::json::{self, field, FromJson, Value};
+use serde::Serialize;
 
 /// The quantization state of one weight tensor.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct LayerScheme {
     /// Position among the model's weight tensors (construction order).
     pub index: usize,
@@ -22,8 +23,20 @@ pub struct LayerScheme {
     pub mask: Option<Vec<bool>>,
 }
 
+impl FromJson for LayerScheme {
+    fn from_json(v: &Value, ctx: &str) -> Result<Self, String> {
+        Ok(LayerScheme {
+            index: field(v, ctx, "index")?,
+            path: field(v, ctx, "path")?,
+            numel: field(v, ctx, "numel")?,
+            bits: field(v, ctx, "bits")?,
+            mask: field(v, ctx, "mask")?,
+        })
+    }
+}
+
 /// A full mixed-precision quantization scheme.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct QuantScheme {
     /// Per-layer assignments in model order.
     pub layers: Vec<LayerScheme>,
@@ -31,6 +44,16 @@ pub struct QuantScheme {
     pub avg_bits: f32,
     /// Weight compression versus FP32.
     pub compression: f32,
+}
+
+impl FromJson for QuantScheme {
+    fn from_json(v: &Value, ctx: &str) -> Result<Self, String> {
+        Ok(QuantScheme {
+            layers: field(v, ctx, "layers")?,
+            avg_bits: field(v, ctx, "avg_bits")?,
+            compression: field(v, ctx, "compression")?,
+        })
+    }
 }
 
 impl QuantScheme {
@@ -76,13 +99,15 @@ impl QuantScheme {
         }
     }
 
-    /// Parses a scheme from JSON.
+    /// Parses a scheme from the JSON text [`QuantScheme::to_json`]
+    /// writes.
     ///
     /// # Errors
     ///
-    /// Returns the underlying `serde_json` error on malformed input.
-    pub fn from_json(s: &str) -> Result<QuantScheme, serde_json::Error> {
-        serde_json::from_str(s)
+    /// A message naming the offending field (`scheme.layers[2].bits`)
+    /// on malformed input.
+    pub fn from_json(s: &str) -> Result<QuantScheme, String> {
+        json::parse(s, "scheme")
     }
 }
 

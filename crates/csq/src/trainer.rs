@@ -24,6 +24,7 @@ use csq_nn::{
     accuracy, softmax_cross_entropy, Adam, Checkpoint, CosineSchedule, Layer, OptimState,
     OptimStateError, ParamRole, Sgd,
 };
+use csq_obs::json::{field, FromJson, Value};
 use std::path::{Path, PathBuf};
 
 /// Which optimizer a training phase uses.
@@ -86,7 +87,7 @@ impl Optimizer {
 }
 
 /// Per-epoch training telemetry (the series behind Figures 2–3).
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
 pub struct EpochStats {
     /// 0-based epoch index within its phase.
     pub epoch: usize,
@@ -109,6 +110,23 @@ pub struct EpochStats {
     pub delta_s: f32,
     /// Batches skipped this epoch because their loss was non-finite.
     pub skipped: usize,
+}
+
+impl FromJson for EpochStats {
+    fn from_json(v: &Value, ctx: &str) -> Result<Self, String> {
+        Ok(EpochStats {
+            epoch: field(v, ctx, "epoch")?,
+            finetune: field(v, ctx, "finetune")?,
+            loss: field(v, ctx, "loss")?,
+            train_acc: field(v, ctx, "train_acc")?,
+            test_acc: field(v, ctx, "test_acc")?,
+            avg_bits: field(v, ctx, "avg_bits")?,
+            beta: field(v, ctx, "beta")?,
+            lr: field(v, ctx, "lr")?,
+            delta_s: field(v, ctx, "delta_s")?,
+            skipped: field(v, ctx, "skipped")?,
+        })
+    }
 }
 
 /// Structured training failure. Replaces the panics the loops used to

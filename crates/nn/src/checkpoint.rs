@@ -4,13 +4,15 @@
 //! `4.main.0.weight`) to its tensor, in visitation order — the same paths
 //! the optimizers key their state by — so any architecturally identical
 //! model can restore it and any architectural edit is reported by name.
-//! Files hold JSON (small models, human-inspectable) inside the CRC32
-//! framing of [`crate::persist`]; weights quantized by CSQ should instead
-//! be deployed via fixed-point packing (`csq_core::PackedModel`).
+//! A checkpoint is an in-memory capture; it reaches disk only inside a
+//! training snapshot (`csq_core::TrainSnapshot`), whose file carries
+//! the CRC32 framing of [`crate::persist`]. Weights quantized by CSQ are
+//! deployed via fixed-point packing (`csq_core::PackedModel`) instead.
 
 use crate::layer::Layer;
+use csq_obs::json::{field, FromJson, Value};
 use csq_tensor::Tensor;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::{HashMap, HashSet};
 
 /// A serializable snapshot of every trainable parameter of a model,
@@ -27,10 +29,18 @@ use std::collections::{HashMap, HashSet};
 /// ckpt.restore(&mut fresh)?;
 /// # Ok::<(), csq_nn::checkpoint::RestoreError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Checkpoint {
     /// `(path, tensor)` entries in visitation order.
     entries: Vec<(String, Tensor)>,
+}
+
+impl FromJson for Checkpoint {
+    fn from_json(v: &Value, ctx: &str) -> Result<Self, String> {
+        Ok(Checkpoint {
+            entries: field(v, ctx, "entries")?,
+        })
+    }
 }
 
 /// Error restoring a checkpoint into a model.
@@ -175,51 +185,6 @@ impl Checkpoint {
             }
         });
         Ok(())
-    }
-
-    /// Serializes to JSON.
-    pub fn to_json(&self) -> String {
-        match serde_json::to_string(self) {
-            Ok(s) => s,
-            // Unreachable for this type (plain tensors); kept explicit so
-            // the failure would be loud rather than silently truncated.
-            Err(e) => panic!("checkpoint serialization failed: {e}"),
-        }
-    }
-
-    /// Parses a checkpoint from JSON.
-    ///
-    /// # Errors
-    ///
-    /// Returns the underlying `serde_json` error on malformed input.
-    pub fn from_json(s: &str) -> Result<Checkpoint, serde_json::Error> {
-        serde_json::from_str(s)
-    }
-
-    /// Writes the checkpoint to a file atomically (temp file → fsync →
-    /// rename) with a CRC32 integrity header, so a crash mid-save or
-    /// later bit rot can never produce a silently-corrupt checkpoint.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors.
-    pub fn save(&self, path: &std::path::Path) -> std::io::Result<()> {
-        crate::persist::write_checksummed(path, self.to_json().as_bytes())
-    }
-
-    /// Reads a checkpoint from a file, verifying the CRC32 framing
-    /// written by [`Checkpoint::save`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors; a file without the framing, a corrupt
-    /// (truncated or bit-flipped) file or malformed JSON becomes
-    /// `io::ErrorKind::InvalidData`.
-    pub fn load(path: &std::path::Path) -> std::io::Result<Checkpoint> {
-        let payload = crate::persist::read_checksummed(path)?;
-        let text = String::from_utf8(payload)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
-        Self::from_json(&text).map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
     }
 
     /// Total number of scalar parameters in the snapshot.
@@ -367,53 +332,6 @@ mod tests {
         let _ = ckpt.restore(&mut wrong);
         let after = Checkpoint::capture(&mut wrong);
         assert_eq!(before, after, "no partial application");
-    }
-
-    #[test]
-    fn file_round_trip() {
-        let mut a = model(3);
-        let ckpt = Checkpoint::capture(&mut a);
-        let path = std::env::temp_dir().join("csq_ckpt_test.json");
-        ckpt.save(&path).unwrap();
-        let loaded = Checkpoint::load(&path).unwrap();
-        assert_eq!(loaded, ckpt);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn saved_file_is_checksummed_and_corruption_rejected() {
-        let mut a = model(4);
-        let ckpt = Checkpoint::capture(&mut a);
-        let path = std::env::temp_dir().join("csq_ckpt_crc_test.json");
-        ckpt.save(&path).unwrap();
-        let bytes = std::fs::read(&path).unwrap();
-        assert!(
-            crate::persist::is_checksummed(&bytes),
-            "save writes framing"
-        );
-        // Flip one payload bit: load must fail with InvalidData, not
-        // deserialize garbage.
-        let mut corrupt = bytes.clone();
-        let last = corrupt.len() - 1;
-        corrupt[last] ^= 0x01;
-        std::fs::write(&path, &corrupt).unwrap();
-        let err = Checkpoint::load(&path).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn load_rejects_garbage() {
-        let path = std::env::temp_dir().join("csq_ckpt_garbage.json");
-        // Unframed plain JSON, as checkpoints were once written, is
-        // rejected like any other file without the CRC framing.
-        let plain = Checkpoint::capture(&mut model(5)).to_json();
-        for bytes in ["not json", plain.as_str()] {
-            std::fs::write(&path, bytes).unwrap();
-            let err = Checkpoint::load(&path).unwrap_err();
-            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-        }
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]

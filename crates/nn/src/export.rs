@@ -31,14 +31,14 @@
 //! fall back to the trait default, which reports
 //! [`ExportError::Unsupported`] with the offending layer's path and kind.
 
+use csq_obs::json::{field, variant, FromJson, Value};
 use serde::Serialize;
 
 /// One evaluation-mode operation in an exported inference plan.
 ///
 /// Ops are executed in order, each consuming the previous op's output;
 /// [`InferOp::Residual`] nests three sub-plans. Plans are persisted in
-/// `.csqm` artifacts, which `csq-serve` decodes with its own schema
-/// walker.
+/// `.csqm` artifacts and read back by this type's [`FromJson`] decoder.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub enum InferOp {
     /// 2-D convolution; weight referenced by registry path.
@@ -132,6 +132,74 @@ pub enum InferOp {
         /// Post-merge sub-plan (activation after the add).
         post: Vec<InferOp>,
     },
+}
+
+/// A kernel, window or stride extent: zero is meaningless and would fail
+/// when the op is bound or run.
+fn positive(v: &Value, ctx: &str, name: &str) -> Result<usize, String> {
+    match field(v, ctx, name)? {
+        0 => Err(format!("{ctx}.{name}: must be positive")),
+        n => Ok(n),
+    }
+}
+
+/// Reads the externally tagged form `Serialize` writes: unit ops are
+/// bare strings, the others single-member objects.
+impl FromJson for InferOp {
+    fn from_json(v: &Value, ctx: &str) -> Result<Self, String> {
+        let (name, body) = variant(v, ctx)?;
+        let c = &format!("{ctx}.{name}");
+        Ok(match name {
+            "Conv2d" => InferOp::Conv2d {
+                weight: field(body, c, "weight")?,
+                in_channels: field(body, c, "in_channels")?,
+                out_channels: field(body, c, "out_channels")?,
+                kernel: positive(body, c, "kernel")?,
+                stride: positive(body, c, "stride")?,
+                padding: field(body, c, "padding")?,
+                bias: field(body, c, "bias")?,
+            },
+            "DepthwiseConv2d" => InferOp::DepthwiseConv2d {
+                weight: field(body, c, "weight")?,
+                channels: field(body, c, "channels")?,
+                kernel: positive(body, c, "kernel")?,
+                stride: positive(body, c, "stride")?,
+                padding: field(body, c, "padding")?,
+            },
+            "Linear" => InferOp::Linear {
+                weight: field(body, c, "weight")?,
+                in_features: field(body, c, "in_features")?,
+                out_features: field(body, c, "out_features")?,
+                bias: field(body, c, "bias")?,
+            },
+            "ChannelAffine" => InferOp::ChannelAffine {
+                scale: field(body, c, "scale")?,
+                shift: field(body, c, "shift")?,
+            },
+            "UniformActQuant" => InferOp::UniformActQuant {
+                range: field(body, c, "range")?,
+                levels: field(body, c, "levels")?,
+            },
+            "MaxPool" => InferOp::MaxPool {
+                window: positive(body, c, "window")?,
+                stride: positive(body, c, "stride")?,
+            },
+            "AvgPool" => InferOp::AvgPool {
+                window: positive(body, c, "window")?,
+                stride: positive(body, c, "stride")?,
+            },
+            "Residual" => InferOp::Residual {
+                main: field(body, c, "main")?,
+                shortcut: field(body, c, "shortcut")?,
+                post: field(body, c, "post")?,
+            },
+            "Relu" => InferOp::Relu,
+            "GlobalAvgPool" => InferOp::GlobalAvgPool,
+            "Flatten" => InferOp::Flatten,
+            "Identity" => InferOp::Identity,
+            other => return Err(format!("{ctx}: unknown op `{other}`")),
+        })
+    }
 }
 
 /// Why a model could not be exported as an inference plan.

@@ -1,14 +1,15 @@
 //! Optimizers and learning-rate schedules.
 
 use crate::layer::{Layer, ParamRole};
+use csq_obs::json::{field, variant, FromJson, Value};
 use csq_tensor::Tensor;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A serializable snapshot of an optimizer's internal state (momentum
 /// buffers / Adam moments), keyed — like the live state — by parameter
 /// path. Captured into `TrainSnapshot`s so a resumed run continues with
 /// the exact optimizer trajectory of the original.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub enum OptimState {
     /// SGD momentum buffers.
     Sgd {
@@ -25,6 +26,24 @@ pub enum OptimState {
         /// Second-moment estimates, one `(path, tensor)` per parameter.
         v: Vec<(String, Tensor)>,
     },
+}
+
+impl FromJson for OptimState {
+    fn from_json(v: &Value, ctx: &str) -> Result<Self, String> {
+        let (name, body) = variant(v, ctx)?;
+        let c = &format!("{ctx}.{name}");
+        match name {
+            "Sgd" => Ok(OptimState::Sgd {
+                buffers: field(body, c, "buffers")?,
+            }),
+            "Adam" => Ok(OptimState::Adam {
+                step_count: field(body, c, "step_count")?,
+                m: field(body, c, "m")?,
+                v: field(body, c, "v")?,
+            }),
+            other => Err(format!("{ctx}: unknown optimizer `{other}`")),
+        }
+    }
 }
 
 impl OptimState {

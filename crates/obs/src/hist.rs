@@ -10,7 +10,7 @@
 //! because buckets are plain counts — histograms from different workers,
 //! replicas, or processes merge by addition without losing anything.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A fixed-shape geometric histogram with atomic buckets.
@@ -94,7 +94,7 @@ impl GeoHistogram {
 
 /// A point-in-time copy of a [`GeoHistogram`]: serializable, mergeable,
 /// and the single home of the percentile interpolation rule.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct HistogramSnapshot {
     /// Count per bucket; the last slot is the overflow bucket.
     pub counts: Vec<u64>,

@@ -21,6 +21,10 @@
 //!   timestamped JSONL postmortem when a worker panics, a NaN storm
 //!   triggers a rewind, or chaos kills something.
 //!
+//! Besides telemetry, [`json`] holds the one JSON decode path: the
+//! [`json::FromJson`] trait that every type read back from disk
+//! implements next to its definition.
+//!
 //! Environment knobs (all optional): `CSQ_TRACE` (`1`/`ring`/file
 //! path), `CSQ_POSTMORTEM_DIR`, and — read by the trainer, not here —
 //! `CSQ_TELEMETRY`.
@@ -30,6 +34,7 @@
 
 pub mod flight;
 pub mod hist;
+pub mod json;
 pub mod profiler;
 pub mod registry;
 pub mod trace;

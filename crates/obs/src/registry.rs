@@ -11,7 +11,7 @@
 //! into one fleet view.
 
 use crate::hist::{GeoHistogram, HistogramSnapshot};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
@@ -242,7 +242,7 @@ pub fn global() -> &'static MetricsRegistry {
 }
 
 /// A serializable point-in-time copy of a [`MetricsRegistry`].
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct MetricsSnapshot {
     /// Counter values by name.
     pub counters: BTreeMap<String, u64>,
@@ -468,9 +468,26 @@ mod tests {
     fn json_roundtrip() {
         let reg = MetricsRegistry::new();
         reg.counter("c").inc();
+        reg.gauge("g").set(-3);
         reg.histogram("h").record(5);
         let snap = reg.snapshot();
-        let parsed: MetricsSnapshot = serde_json::from_str(&snap.to_json()).unwrap_or_default();
-        assert_eq!(parsed, snap);
+        let v: serde_json::Value = serde_json::from_str(&snap.to_json()).unwrap();
+        let at = |section: &str, name: &str| v.get(section).and_then(|s| s.get(name)).cloned();
+        assert_eq!(at("counters", "c").and_then(|c| c.as_u64()), Some(1));
+        assert_eq!(at("gauges", "g").and_then(|g| g.as_i64()), Some(-3));
+        let hist = at("hists", "h").unwrap();
+        assert_eq!(hist.get("sum").and_then(|s| s.as_u64()), Some(5));
+        let counts: Vec<u64> = hist
+            .get("counts")
+            .and_then(|c| c.as_array())
+            .unwrap()
+            .iter()
+            .map(|c| c.as_u64().unwrap())
+            .collect();
+        assert_eq!(counts, snap.hists["h"].counts);
+        assert_eq!(
+            v.get("series").and_then(|s| s.as_object()).map(|s| s.len()),
+            Some(0)
+        );
     }
 }

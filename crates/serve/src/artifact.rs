@@ -31,6 +31,7 @@ use csq_core::pack::{PackError, PackedModel, PackedWeight};
 use csq_core::QuantScheme;
 use csq_nn::persist::{read_checksummed, write_checksummed, PersistError};
 use csq_nn::{export_model, ExportError, InferOp, Layer};
+use csq_obs::json::{field, FromJson, Value};
 use csq_tensor::Tensor;
 use serde::Serialize;
 use std::path::Path;
@@ -189,8 +190,9 @@ impl PlaneProfileEntry {
 
 /// A complete deployable model: op plan, packed weights, precision
 /// scheme, and calibrated activation grids. Saved to and loaded from the
-/// versioned `.csqm` container; loading decodes through an explicit
-/// schema walker, not a derived decoder.
+/// versioned `.csqm` container; loading decodes through the
+/// [`FromJson`] decoders of each part, which name the offending field
+/// path (`artifact.weights[3].codes`) in every error.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ModelArtifact {
     /// `.csqm` format version this artifact was written with.
@@ -210,6 +212,21 @@ pub struct ModelArtifact {
     pub scheme: QuantScheme,
     /// Calibrated activation grids, one per weighted op.
     pub calibration: Vec<CalibrationEntry>,
+}
+
+impl FromJson for ModelArtifact {
+    fn from_json(v: &Value, ctx: &str) -> Result<Self, String> {
+        Ok(ModelArtifact {
+            format_version: field(v, ctx, "format_version")?,
+            name: field(v, ctx, "name")?,
+            input_dims: field(v, ctx, "input_dims")?,
+            num_classes: field(v, ctx, "num_classes")?,
+            ops: field(v, ctx, "ops")?,
+            weights: field(v, ctx, "weights")?,
+            scheme: field(v, ctx, "scheme")?,
+            calibration: field(v, ctx, "calibration")?,
+        })
+    }
 }
 
 impl ModelArtifact {
@@ -301,14 +318,9 @@ impl ModelArtifact {
     /// written by a newer build" — not "malformed JSON".
     pub fn load(path: &Path) -> Result<ModelArtifact, ArtifactError> {
         let payload = read_checksummed(path)?;
-        let doc: serde_json::Value =
+        let doc: Value =
             serde_json::from_slice(&payload).map_err(|e| ArtifactError::Json(e.to_string()))?;
-        let found = doc
-            .get("format_version")
-            .and_then(serde_json::Value::as_u64)
-            .ok_or_else(|| {
-                ArtifactError::Json("payload has no numeric `format_version` field".to_string())
-            })?;
+        let found: u64 = field(&doc, "artifact", "format_version").map_err(ArtifactError::Json)?;
         if found != u64::from(CSQM_FORMAT_VERSION) {
             return Err(ArtifactError::UnsupportedVersion {
                 path: Some(path.to_path_buf()),
@@ -316,7 +328,7 @@ impl ModelArtifact {
                 supported: CSQM_FORMAT_VERSION,
             });
         }
-        decode::artifact(&doc).map_err(ArtifactError::Json)
+        ModelArtifact::from_json(&doc, "artifact").map_err(ArtifactError::Json)
     }
 
     /// Deployed weight payload in bytes (bit-packed codes plus scales).
@@ -342,241 +354,6 @@ impl ModelArtifact {
     /// mismatched artifact *before* paying for `compile`).
     pub fn is_compatible_with(&self, input_dims: &[usize], num_classes: usize) -> bool {
         self.input_dims == input_dims && self.num_classes == num_classes
-    }
-}
-
-/// Explicit schema walker from the parsed JSON tree to typed artifact
-/// fields.
-///
-/// Decoding is deliberately *not* derived: the `.csqm` schema is a
-/// compatibility contract, and an explicit walker (a) pins exactly what
-/// each format version accepts independent of how the Rust structs
-/// evolve, and (b) names the offending field path in every error
-/// (`weights[3].codes`), which derived decoding cannot. Errors are
-/// plain strings; `ModelArtifact::load` wraps them in
-/// [`ArtifactError::Json`].
-mod decode {
-    use super::{CalibrationEntry, InferOp, ModelArtifact, PackedWeight, QuantScheme};
-    use csq_core::scheme::LayerScheme;
-    use serde_json::Value;
-
-    type R<T> = Result<T, String>;
-
-    fn field<'v>(v: &'v Value, ctx: &str, name: &str) -> R<&'v Value> {
-        v.get(name).ok_or_else(|| format!("{ctx}.{name}: missing"))
-    }
-
-    fn string(v: &Value, ctx: &str) -> R<String> {
-        v.as_str()
-            .map(str::to_string)
-            .ok_or_else(|| format!("{ctx}: expected a string"))
-    }
-
-    fn unsigned(v: &Value, ctx: &str) -> R<usize> {
-        v.as_u64()
-            .and_then(|n| usize::try_from(n).ok())
-            .ok_or_else(|| format!("{ctx}: expected an unsigned integer"))
-    }
-
-    /// A kernel, window or stride extent: zero is meaningless and would
-    /// fail when the op is bound or run.
-    fn positive(v: &Value, ctx: &str) -> R<usize> {
-        match unsigned(v, ctx)? {
-            0 => Err(format!("{ctx}: must be positive")),
-            n => Ok(n),
-        }
-    }
-
-    fn float(v: &Value, ctx: &str) -> R<f32> {
-        v.as_f64()
-            .map(|f| f as f32)
-            .ok_or_else(|| format!("{ctx}: expected a number"))
-    }
-
-    fn boolean(v: &Value, ctx: &str) -> R<bool> {
-        match v {
-            Value::Bool(b) => Ok(*b),
-            _ => Err(format!("{ctx}: expected a boolean")),
-        }
-    }
-
-    /// Decodes an array, tagging each element error with its index.
-    fn list<T>(v: &Value, ctx: &str, item: impl Fn(&Value, &str) -> R<T>) -> R<Vec<T>> {
-        let arr = v
-            .as_array()
-            .ok_or_else(|| format!("{ctx}: expected an array"))?;
-        arr.iter()
-            .enumerate()
-            .map(|(i, e)| item(e, &format!("{ctx}[{i}]")))
-            .collect()
-    }
-
-    fn usize_vec(v: &Value, ctx: &str) -> R<Vec<usize>> {
-        list(v, ctx, unsigned)
-    }
-
-    fn f32_vec(v: &Value, ctx: &str) -> R<Vec<f32>> {
-        list(v, ctx, float)
-    }
-
-    /// `Option<T>` fields serialize as `null`; an absent field also
-    /// reads as `None`.
-    fn opt<'v>(v: &'v Value, name: &str) -> Option<&'v Value> {
-        v.get(name).filter(|f| !f.is_null())
-    }
-
-    fn opt_f32_vec(v: &Value, ctx: &str, name: &str) -> R<Option<Vec<f32>>> {
-        opt(v, name)
-            .map(|f| f32_vec(f, &format!("{ctx}.{name}")))
-            .transpose()
-    }
-
-    fn op_list(v: &Value, ctx: &str) -> R<Vec<InferOp>> {
-        list(v, ctx, op)
-    }
-
-    /// One inference op in serde's externally-tagged form: unit
-    /// variants are bare strings, struct variants single-key objects.
-    fn op(v: &Value, ctx: &str) -> R<InferOp> {
-        if let Some(tag) = v.as_str() {
-            return match tag {
-                "Relu" => Ok(InferOp::Relu),
-                "GlobalAvgPool" => Ok(InferOp::GlobalAvgPool),
-                "Flatten" => Ok(InferOp::Flatten),
-                "Identity" => Ok(InferOp::Identity),
-                other => Err(format!("{ctx}: unknown op `{other}`")),
-            };
-        }
-        let obj = v
-            .as_object()
-            .ok_or_else(|| format!("{ctx}: expected an op string or object"))?;
-        let (tag, body) = match (obj.len(), obj.iter().next()) {
-            (1, Some(entry)) => entry,
-            _ => return Err(format!("{ctx}: expected a single-variant op object")),
-        };
-        let c = &format!("{ctx}.{tag}");
-        match tag.as_str() {
-            "Conv2d" => Ok(InferOp::Conv2d {
-                weight: string(field(body, c, "weight")?, &format!("{c}.weight"))?,
-                in_channels: unsigned(field(body, c, "in_channels")?, &format!("{c}.in_channels"))?,
-                out_channels: unsigned(
-                    field(body, c, "out_channels")?,
-                    &format!("{c}.out_channels"),
-                )?,
-                kernel: positive(field(body, c, "kernel")?, &format!("{c}.kernel"))?,
-                stride: positive(field(body, c, "stride")?, &format!("{c}.stride"))?,
-                padding: unsigned(field(body, c, "padding")?, &format!("{c}.padding"))?,
-                bias: opt_f32_vec(body, c, "bias")?,
-            }),
-            "DepthwiseConv2d" => Ok(InferOp::DepthwiseConv2d {
-                weight: string(field(body, c, "weight")?, &format!("{c}.weight"))?,
-                channels: unsigned(field(body, c, "channels")?, &format!("{c}.channels"))?,
-                kernel: positive(field(body, c, "kernel")?, &format!("{c}.kernel"))?,
-                stride: positive(field(body, c, "stride")?, &format!("{c}.stride"))?,
-                padding: unsigned(field(body, c, "padding")?, &format!("{c}.padding"))?,
-            }),
-            "Linear" => Ok(InferOp::Linear {
-                weight: string(field(body, c, "weight")?, &format!("{c}.weight"))?,
-                in_features: unsigned(field(body, c, "in_features")?, &format!("{c}.in_features"))?,
-                out_features: unsigned(
-                    field(body, c, "out_features")?,
-                    &format!("{c}.out_features"),
-                )?,
-                bias: opt_f32_vec(body, c, "bias")?,
-            }),
-            "ChannelAffine" => Ok(InferOp::ChannelAffine {
-                scale: f32_vec(field(body, c, "scale")?, &format!("{c}.scale"))?,
-                shift: f32_vec(field(body, c, "shift")?, &format!("{c}.shift"))?,
-            }),
-            "UniformActQuant" => Ok(InferOp::UniformActQuant {
-                range: float(field(body, c, "range")?, &format!("{c}.range"))?,
-                levels: float(field(body, c, "levels")?, &format!("{c}.levels"))?,
-            }),
-            "MaxPool" => Ok(InferOp::MaxPool {
-                window: positive(field(body, c, "window")?, &format!("{c}.window"))?,
-                stride: positive(field(body, c, "stride")?, &format!("{c}.stride"))?,
-            }),
-            "AvgPool" => Ok(InferOp::AvgPool {
-                window: positive(field(body, c, "window")?, &format!("{c}.window"))?,
-                stride: positive(field(body, c, "stride")?, &format!("{c}.stride"))?,
-            }),
-            "Residual" => Ok(InferOp::Residual {
-                main: op_list(field(body, c, "main")?, &format!("{c}.main"))?,
-                shortcut: op_list(field(body, c, "shortcut")?, &format!("{c}.shortcut"))?,
-                post: op_list(field(body, c, "post")?, &format!("{c}.post"))?,
-            }),
-            other => Err(format!("{ctx}: unknown op `{other}`")),
-        }
-    }
-
-    fn packed_weight(v: &Value, ctx: &str) -> R<PackedWeight> {
-        Ok(PackedWeight {
-            path: string(field(v, ctx, "path")?, &format!("{ctx}.path"))?,
-            codes: list(field(v, ctx, "codes")?, &format!("{ctx}.codes"), |c, cc| {
-                c.as_i64()
-                    .and_then(|n| i32::try_from(n).ok())
-                    .ok_or_else(|| format!("{cc}: expected a signed integer code"))
-            })?,
-            step: float(field(v, ctx, "step")?, &format!("{ctx}.step"))?,
-            dims: usize_vec(field(v, ctx, "dims")?, &format!("{ctx}.dims"))?,
-            bits: float(field(v, ctx, "bits")?, &format!("{ctx}.bits"))?,
-        })
-    }
-
-    fn calibration_entry(v: &Value, ctx: &str) -> R<CalibrationEntry> {
-        Ok(CalibrationEntry {
-            weight_path: string(field(v, ctx, "weight_path")?, &format!("{ctx}.weight_path"))?,
-            step: float(field(v, ctx, "step")?, &format!("{ctx}.step"))?,
-            observed_lo: float(field(v, ctx, "observed_lo")?, &format!("{ctx}.observed_lo"))?,
-            observed_hi: float(field(v, ctx, "observed_hi")?, &format!("{ctx}.observed_hi"))?,
-            integer: boolean(field(v, ctx, "integer")?, &format!("{ctx}.integer"))?,
-        })
-    }
-
-    fn layer_scheme(v: &Value, ctx: &str) -> R<LayerScheme> {
-        Ok(LayerScheme {
-            index: unsigned(field(v, ctx, "index")?, &format!("{ctx}.index"))?,
-            path: string(field(v, ctx, "path")?, &format!("{ctx}.path"))?,
-            numel: unsigned(field(v, ctx, "numel")?, &format!("{ctx}.numel"))?,
-            bits: float(field(v, ctx, "bits")?, &format!("{ctx}.bits"))?,
-            mask: opt(v, "mask")
-                .map(|m| list(m, &format!("{ctx}.mask"), boolean))
-                .transpose()?,
-        })
-    }
-
-    fn quant_scheme(v: &Value, ctx: &str) -> R<QuantScheme> {
-        Ok(QuantScheme {
-            layers: list(
-                field(v, ctx, "layers")?,
-                &format!("{ctx}.layers"),
-                layer_scheme,
-            )?,
-            avg_bits: float(field(v, ctx, "avg_bits")?, &format!("{ctx}.avg_bits"))?,
-            compression: float(field(v, ctx, "compression")?, &format!("{ctx}.compression"))?,
-        })
-    }
-
-    /// Decodes a full artifact from the parsed payload tree. The
-    /// caller has already verified `format_version`.
-    pub(super) fn artifact(v: &Value) -> R<ModelArtifact> {
-        let c = "artifact";
-        Ok(ModelArtifact {
-            format_version: unsigned(field(v, c, "format_version")?, "artifact.format_version")?
-                .try_into()
-                .map_err(|_| "artifact.format_version: out of range".to_string())?,
-            name: string(field(v, c, "name")?, "artifact.name")?,
-            input_dims: usize_vec(field(v, c, "input_dims")?, "artifact.input_dims")?,
-            num_classes: unsigned(field(v, c, "num_classes")?, "artifact.num_classes")?,
-            ops: op_list(field(v, c, "ops")?, "artifact.ops")?,
-            weights: list(field(v, c, "weights")?, "artifact.weights", packed_weight)?,
-            scheme: quant_scheme(field(v, c, "scheme")?, "artifact.scheme")?,
-            calibration: list(
-                field(v, c, "calibration")?,
-                "artifact.calibration",
-                calibration_entry,
-            )?,
-        })
     }
 }
 

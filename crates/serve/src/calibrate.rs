@@ -19,6 +19,7 @@
 //! batch, per-op ranges folded in a fixed order.
 
 use crate::exec::{ActGrid, CompiledModel, ServeError};
+use csq_obs::json::{field, FromJson, Value};
 use csq_tensor::Tensor;
 use serde::Serialize;
 use std::collections::HashMap;
@@ -47,6 +48,18 @@ pub struct CalibrationEntry {
     /// Whether the op runs on the integer kernels (`false`: observed
     /// range includes negatives, op is served by the float fallback).
     pub integer: bool,
+}
+
+impl FromJson for CalibrationEntry {
+    fn from_json(v: &Value, ctx: &str) -> Result<Self, String> {
+        Ok(CalibrationEntry {
+            weight_path: field(v, ctx, "weight_path")?,
+            step: field(v, ctx, "step")?,
+            observed_lo: field(v, ctx, "observed_lo")?,
+            observed_hi: field(v, ctx, "observed_hi")?,
+            integer: field(v, ctx, "integer")?,
+        })
+    }
 }
 
 /// Runs the calibration sample batch `[S, C, H, W]` through `model`'s

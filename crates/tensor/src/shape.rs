@@ -1,6 +1,6 @@
 //! Shape algebra for dense tensors.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The extents of a tensor along each axis, in row-major order.
 ///
@@ -18,7 +18,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(s.strides(), vec![12, 4, 1]);
 /// assert_eq!(s.flat_index(&[1, 2, 3]), 23);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize)]
 pub struct Shape(Vec<usize>);
 
 impl Shape {

@@ -1,7 +1,8 @@
 //! The dense, contiguous, row-major `f32` tensor type.
 
 use crate::{Shape, ShapeMismatchError};
-use serde::{Deserialize, Serialize};
+use csq_obs::json::{field, FromJson, Value};
+use serde::Serialize;
 
 /// A dense, contiguous, row-major tensor of `f32` values.
 ///
@@ -20,10 +21,28 @@ use serde::{Deserialize, Serialize};
 /// let y = x.mul_scalar(0.5).add_scalar(1.0);
 /// assert!(y.iter().all(|v| (v - 2.0).abs() < 1e-6));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Tensor {
     data: Vec<f32>,
     shape: Shape,
+}
+
+/// Reads the `{"data": [..], "shape": [..]}` object `Serialize` writes.
+/// A shape whose element count overflows or differs from the data is an
+/// error, not a panic.
+impl FromJson for Tensor {
+    fn from_json(v: &Value, ctx: &str) -> Result<Self, String> {
+        let data: Vec<f32> = field(v, ctx, "data")?;
+        let dims: Vec<usize> = field(v, ctx, "shape")?;
+        let numel = dims.iter().try_fold(1usize, |n, &d| n.checked_mul(d));
+        if numel != Some(data.len()) {
+            return Err(format!(
+                "{ctx}: {} values do not fill shape {dims:?}",
+                data.len()
+            ));
+        }
+        Ok(Tensor::from_vec(data, &dims))
+    }
 }
 
 impl Tensor {
@@ -669,6 +688,22 @@ mod tests {
         assert!((a.mean() - 0.0).abs() < 1e-6);
         assert!((a.norm() - (14.0f32).sqrt()).abs() < 1e-6);
         assert_eq!(a.dot(&a), 14.0);
+    }
+
+    #[test]
+    fn json_decode_checks_the_shape() {
+        let decode = |text: &str| csq_obs::json::parse::<Tensor>(text, "t");
+        assert_eq!(
+            decode(r#"{"data": [0.5, -2.0, 3.0], "shape": [3, 1]}"#),
+            Ok(Tensor::from_vec(vec![0.5, -2.0, 3.0], &[3, 1]))
+        );
+        let err = decode(r#"{"data": [1.0, 2.0], "shape": [3]}"#).unwrap_err();
+        assert!(
+            err.starts_with("t: 2 values do not fill shape [3]"),
+            "{err}"
+        );
+        let huge = format!(r#"{{"data": [], "shape": [{0}, {0}]}}"#, 1u64 << 40);
+        assert!(decode(&huge).is_err());
     }
 
     #[test]

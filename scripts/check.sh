@@ -13,17 +13,35 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> cargo test"
-cargo test -q
-
-echo "==> serve chaos suite (deterministic fault drills)"
-cargo test -q --release --test serve_chaos
+echo "==> cargo test --workspace (every crate's unit, integration and doc tests)"
+# One run covers every gated invariant:
+# - bit-exactness: the float GEMM and the conv forward and gradients
+#   against naive loops (csq-tensor gemm::, kernel_equivalence,
+#   kernel_equivalence_prop), the integer kernels (csq-core
+#   integer_kernels), the served model's forward_batch at 1 and 4
+#   threads and against single samples (csq-serve serve_end_to_end),
+#   training at 1 and 4 threads (parallel_determinism), and crash
+#   resume in both training phases (failure_injection);
+# - serve chaos: deterministic fault drills (serve_chaos);
+# - fleet chaos: kills a whole replica group under two-tenant load
+#   (in-flight requests must drain with answers, later submissions fail
+#   fast with typed ModelDown, the sibling model stays bit-exact,
+#   redeploy recovers), and corrupts the newest registry artifact on
+#   disk (the scan must record a typed fault and fall back to the newest
+#   healthy version); any hang, panic, or cross-model contamination
+#   fails (fleet_chaos, fleet_end_to_end);
+# - decoders: a committed .csqm payload and a training snapshot are each
+#   damaged 256 ways (bit flips, truncations, numeric fields set to 0,
+#   -1 and 2^40) and re-framed with a valid checksum; loading and then
+#   compiling or restoring must give Ok or a typed error, and a panic
+#   prints the seed that replays it (csqm_fuzz).
+cargo test -q --workspace
 
 echo "==> flight-recorder chaos drill (postmortem must be well-formed JSONL)"
 postmortem_dir="$(mktemp -d)"
 fixtures_dir="$(mktemp -d)"
 trap 'rm -rf "$postmortem_dir" "$fixtures_dir"' EXIT
-CSQ_POSTMORTEM_DIR="$postmortem_dir" cargo test -q --release --test serve_chaos \
+CSQ_POSTMORTEM_DIR="$postmortem_dir" cargo test -q --test serve_chaos \
   flight_recorder_postmortem_names_worker_trace_ids_and_restart
 dumps=("$postmortem_dir"/postmortem-*.jsonl)
 [ -e "${dumps[0]}" ] || { echo "FAIL: chaos drill produced no postmortem dump"; exit 1; }
@@ -34,31 +52,6 @@ for dump in "${dumps[@]}"; do
   fi
 done
 echo "    $(ls "$postmortem_dir" | wc -l) postmortem dump(s), all well-formed"
-
-echo "==> bit-exactness gate (float and integer kernels, served model, training at 1 and 4 threads)"
-cargo test -q --release -p csq-tensor --lib gemm::
-cargo test -q --release -p csq-tensor --test kernel_equivalence --test kernel_equivalence_prop
-cargo test -q --release -p csq-core --test integer_kernels
-cargo test -q --release -p csq-serve --test serve_end_to_end \
-  forward_batch_is_bit_identical_at_1_and_4_threads_and_to_single_samples
-cargo test -q --release --test parallel_determinism
-
-echo "==> fleet chaos drill (replica-group kill + corrupted registry artifact)"
-# Kills a whole replica group under two-tenant load (in-flight requests
-# must drain with answers, later submissions fail fast with typed
-# ModelDown, the sibling model stays bit-exact, redeploy recovers), and
-# corrupts the newest registry artifact on disk (the scan must record a
-# typed fault and fall back to the newest healthy version). Any hang,
-# panic, or cross-model contamination fails the gate.
-cargo test -q --release --test fleet_chaos
-cargo test -q --release --test fleet_end_to_end
-
-echo "==> decoder gate (.csqm mutation fuzz)"
-# Damages a committed artifact's payload 256 ways (bit flips,
-# truncations, numeric fields set to 0, -1 and 2^40), re-frames each
-# with a valid checksum, then loads and compiles it: every outcome must
-# be Ok or a typed error. A panic prints the seed that replays it.
-cargo test -q --release --test csqm_fuzz
 
 echo "==> serve smoke (perfbench serve_closed, every answer checked bit for bit)"
 # The closed loop, the exec probe and the four-model fleet probe check

@@ -1,10 +1,15 @@
-//! Mutation fuzz of the `.csqm` decoder. A committed artifact's JSON
-//! payload is damaged — a flipped bit, a truncation, or a numeric field
-//! set to 0, −1 or 2^40 — and re-framed with a valid checksum, so the
-//! decoder sees the damage instead of the container rejecting it.
-//! `ModelArtifact::load` followed by `compile` must then return `Ok` or
-//! a typed error, and must never panic.
+//! Mutation fuzz of the two file decoders, `.csqm` artifacts and
+//! training snapshots. A file's JSON payload is damaged — a flipped bit,
+//! a truncation, or a numeric field set to 0, −1 or 2^40 — and
+//! re-framed with a valid checksum, so the decoder sees the damage
+//! instead of the container rejecting it. `ModelArtifact::load`
+//! followed by `compile`, and `TrainSnapshot::load` followed by
+//! `restore_model`, must then return `Ok` or a typed error, and must
+//! never panic.
 
+use csq_repro::csq::prelude::*;
+use csq_repro::data::{Dataset, SyntheticSpec};
+use csq_repro::nn::models::{resnet_cifar, ModelConfig};
 use csq_repro::nn::persist::{read_checksummed, write_checksummed};
 use csq_repro::serve::ModelArtifact;
 use csq_repro::tensor::prop::for_all;
@@ -117,5 +122,47 @@ fn mutated_csqm_payloads_load_and_compile_without_panicking() {
     assert!(
         compiled > 0 && rejected > 0,
         "{compiled} compiled, {rejected} rejected"
+    );
+}
+
+/// A CSQ ResNet-8 at width 2, built deterministically.
+fn tiny_csq_model() -> csq_repro::nn::Sequential {
+    let mut cfg = ModelConfig::cifar_like(2, Some(3), 0);
+    cfg.num_classes = 4;
+    resnet_cifar(cfg, &mut csq_factory(8), 1)
+}
+
+#[test]
+fn mutated_snapshot_payloads_load_and_restore_without_panicking() {
+    let dir = std::env::temp_dir();
+    let source = dir.join(format!("csq-fuzz-source-{}.snap", std::process::id()));
+    let data = Dataset::synthetic(
+        &SyntheticSpec::cifar_like(0)
+            .with_samples(4, 2)
+            .with_classes(4),
+    );
+    let mut cfg = CsqConfig::fast(3.0).with_epochs(1);
+    cfg.batch_size = 8;
+    CsqTrainer::new(cfg)
+        .with_snapshots(SnapshotPolicy::every_epochs(1, &source))
+        .train(&mut tiny_csq_model(), &data)
+        .unwrap();
+    let payload = Payload::read(&source);
+    std::fs::remove_file(&source).ok();
+    assert!(payload.fields.len() > 10 && payload.elements.len() > 1000);
+
+    let path = dir.join(format!("csq-fuzz-{}.snap", std::process::id()));
+    let (mut restored, mut rejected) = (0, 0);
+    for_all(256, 0, |rng| {
+        write_checksummed(&path, &payload.mutate(rng)).unwrap();
+        match TrainSnapshot::load(&path).and_then(|s| s.restore_model(&mut tiny_csq_model())) {
+            Ok(()) => restored += 1,
+            Err(_) => rejected += 1,
+        }
+    });
+    std::fs::remove_file(&path).ok();
+    assert!(
+        restored > 0 && rejected > 0,
+        "{restored} restored, {rejected} rejected"
     );
 }

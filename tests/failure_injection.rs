@@ -5,11 +5,11 @@
 
 use csq_repro::csq::fault::{flip_bit, truncate_file};
 use csq_repro::csq::prelude::*;
-use csq_repro::csq::resume::SnapshotError;
+use csq_repro::csq::resume::{capture_layer_state, SnapshotError};
 use csq_repro::data::{Dataset, Split, SyntheticSpec};
 use csq_repro::nn::models::{resnet_cifar, ModelConfig};
 use csq_repro::nn::weight::float_factory;
-use csq_repro::nn::Layer;
+use csq_repro::nn::{Checkpoint, Layer};
 use csq_repro::tensor::Tensor;
 use std::path::PathBuf;
 
@@ -146,35 +146,73 @@ fn nan_grad_storm_rewinds_and_recovers() {
     assert!(report.final_avg_bits.is_finite());
 }
 
-#[test]
-fn resume_after_crash_matches_uninterrupted_run() {
-    let data = tiny_data();
-    let path = temp_snapshot("equivalence");
-    let epochs = 10;
+/// Every parameter and layer-state buffer of `model`, keyed by path, as
+/// raw bits.
+fn state_bits(model: &mut dyn Layer) -> Vec<(String, Vec<u32>)> {
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let params = Checkpoint::capture(model);
+    let params = params
+        .entries()
+        .iter()
+        .map(|(p, t)| (p.clone(), bits(t.data())));
+    let state = capture_layer_state(model);
+    let state = state.iter().map(|(p, s)| (p.clone(), bits(s)));
+    params.chain(state).collect()
+}
 
-    // Reference: one uninterrupted run.
+/// Trains `cfg` once uninterrupted, and once with a snapshot every epoch
+/// and a simulated crash after phase-local epoch `crash_at`. Restarts
+/// the crashed run from its snapshot on a freshly built model (the
+/// crashed process is gone; only the file survives) and checks that its
+/// final parameters and layer state equal the uninterrupted run's bit
+/// for bit. Returns both reports and the phase the crash hit.
+fn crash_and_resume(
+    cfg: CsqConfig,
+    crash_at: usize,
+    name: &str,
+) -> (TrainReport, TrainReport, TrainPhase) {
+    let data = tiny_data();
+    let path = temp_snapshot(name);
+
     let mut straight_model = tiny_csq_model();
-    let straight = CsqTrainer::new(tiny_csq_cfg(epochs))
+    let straight = CsqTrainer::new(cfg)
         .train(&mut straight_model, &data)
         .unwrap();
 
-    // Crashed run: snapshot every epoch, simulated crash after epoch 4.
     let mut crashed_model = tiny_csq_model();
-    let err = CsqTrainer::new(tiny_csq_cfg(epochs))
+    let err = CsqTrainer::new(cfg)
         .with_snapshots(SnapshotPolicy::every_epochs(1, &path))
-        .with_faults(FaultPlan::default().crash_at_epoch(4))
+        .with_faults(FaultPlan::default().crash_at_epoch(crash_at))
         .train(&mut crashed_model, &data)
         .unwrap_err();
-    assert!(matches!(err, TrainError::InjectedCrash { epoch: 4 }));
+    assert!(
+        matches!(err, TrainError::InjectedCrash { epoch } if epoch == crash_at),
+        "{err}"
+    );
+    let phase = TrainSnapshot::load(&path).unwrap().phase;
 
-    // Restart from the snapshot on a freshly built model (the crashed
-    // process is gone; only the file survives).
     let mut resumed_model = tiny_csq_model();
-    let resumed = CsqTrainer::new(tiny_csq_cfg(epochs))
+    let resumed = CsqTrainer::new(cfg)
         .resume_from(&path)
         .train(&mut resumed_model, &data)
         .unwrap();
+    std::fs::remove_file(&path).ok();
+    let (want, got) = (
+        state_bits(&mut straight_model),
+        state_bits(&mut resumed_model),
+    );
+    assert_eq!(want.len(), got.len());
+    for ((path, w), (resumed_path, g)) in want.iter().zip(&got) {
+        assert_eq!(path, resumed_path);
+        assert!(w == g, "`{path}` is not bit-exact after resume");
+    }
+    (straight, resumed, phase)
+}
 
+#[test]
+fn resume_after_crash_matches_uninterrupted_run() {
+    let (straight, resumed, phase) = crash_and_resume(tiny_csq_cfg(10), 4, "equivalence");
+    assert_eq!(phase, TrainPhase::Csq);
     assert_eq!(straight.history.len(), resumed.history.len());
     for (s, r) in straight.history.iter().zip(resumed.history.iter()) {
         assert_eq!(s.epoch, r.epoch);
@@ -185,7 +223,19 @@ fn resume_after_crash_matches_uninterrupted_run() {
     }
     assert_eq!(straight.final_avg_bits, resumed.final_avg_bits);
     assert_eq!(straight.final_test_accuracy, resumed.final_test_accuracy);
-    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn finetune_resume_after_crash_matches_uninterrupted_run() {
+    // Phase 1 runs epochs 0..3 and never reaches epoch 4, so the crash
+    // lands in the finetune phase and the resume takes its branch.
+    let cfg = tiny_csq_cfg(3).with_finetune(6);
+    let (straight, resumed, phase) = crash_and_resume(cfg, 4, "finetune");
+    assert_eq!(phase, TrainPhase::Finetune);
+    assert_eq!(straight.history.len(), 9);
+    assert_eq!(straight.history, resumed.history);
+    assert_eq!(straight.final_avg_bits, resumed.final_avg_bits);
+    assert_eq!(straight.final_test_accuracy, resumed.final_test_accuracy);
 }
 
 #[test]

@@ -14,6 +14,7 @@ use csq_repro::tensor::prop::for_all;
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Barrier;
 
 /// Exact q-th percentile of `values` by sorting, matching the
 /// histogram's rank convention (`ceil(total · q)`, 1-based).
@@ -80,11 +81,14 @@ fn counter_and_gauge_snapshots_are_race_free_under_concurrent_writers() {
     const PER_WRITER: u64 = 20_000;
     let reg = MetricsRegistry::new();
     let done = AtomicBool::new(false);
+    // The writers start only after the reader's first snapshot.
+    let start = Barrier::new(WRITERS + 1);
 
     std::thread::scope(|scope| {
         for w in 0..WRITERS {
-            let reg = &reg;
+            let (reg, start) = (&reg, &start);
             scope.spawn(move || {
+                start.wait();
                 let c = reg.counter("hits");
                 let g = reg.gauge("level");
                 for i in 0..PER_WRITER {
@@ -102,7 +106,7 @@ fn counter_and_gauge_snapshots_are_race_free_under_concurrent_writers() {
         let reader = scope.spawn(|| {
             let mut last = 0u64;
             let mut snapshots = 0u64;
-            while !done.load(Ordering::Relaxed) {
+            loop {
                 let snap = reg.snapshot();
                 let hits = snap.counters.get("hits").copied().unwrap_or(0);
                 assert!(hits >= last, "counter went backwards: {last} -> {hits}");
@@ -112,6 +116,12 @@ fn counter_and_gauge_snapshots_are_race_free_under_concurrent_writers() {
                 );
                 last = hits;
                 snapshots += 1;
+                if snapshots == 1 {
+                    start.wait();
+                }
+                if done.load(Ordering::Relaxed) {
+                    break;
+                }
             }
             snapshots
         });

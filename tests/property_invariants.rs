@@ -206,7 +206,7 @@ fn packed_weight_codes_round_trip_exactly() {
             assert_eq!(k.round() as i32, c);
         }
         let json = serde_json::to_string(&pw).unwrap();
-        let again: PackedWeight = serde_json::from_str(&json).unwrap();
+        let again: PackedWeight = csq_repro::obs::json::parse(&json, "weight").unwrap();
         assert_eq!(again, pw);
     });
 }
