@@ -1,6 +1,6 @@
 //! Deterministic fault injection for exercising the recovery paths.
 //!
-//! A [`FaultPlan`] is a seeded, reproducible schedule of failures the
+//! A [`FaultPlan`] is a reproducible schedule of failures the
 //! trainer consults at fixed points in its loop:
 //!
 //! * **NaN loss at step k** — the batch loss is replaced with NaN just
@@ -45,11 +45,9 @@ use std::time::Duration;
 
 /// A reproducible schedule of injected training faults.
 ///
-/// Build one explicitly with [`FaultPlan::new`] plus the `*_at` setters,
-/// or derive a pseudo-random NaN storm from a seed with
-/// [`FaultPlan::seeded_storm`]. Injection points are *global* batch-step
-/// indices (counted across epochs from the start of the phase) or
-/// phase-local epoch indices.
+/// Build one with [`FaultPlan::new`] plus the `*_at` setters. Injection
+/// points are *global* batch-step indices (counted across epochs from
+/// the start of the phase) or phase-local epoch indices.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultPlan {
     nan_loss_steps: Vec<u64>,
@@ -83,21 +81,6 @@ impl FaultPlan {
     pub fn crash_at_epoch(mut self, epoch: usize) -> FaultPlan {
         self.crash_epochs.push(epoch);
         self
-    }
-
-    /// A seeded burst of `count` NaN-loss injections at pseudo-random
-    /// steps in `[start, start + span)`. Deterministic for a given seed.
-    pub fn seeded_storm(seed: u64, start: u64, span: u64, count: usize) -> FaultPlan {
-        assert!(span > 0, "seeded_storm requires a non-empty step range");
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let mut plan = FaultPlan::new();
-        for _ in 0..count {
-            let step = start + rng.gen_range(0..span);
-            if !plan.nan_loss_steps.contains(&step) {
-                plan.nan_loss_steps.push(step);
-            }
-        }
-        plan
     }
 
     /// True when nothing is left to inject.
@@ -397,14 +380,6 @@ mod tests {
         assert!(plan.take_nan_grads(5));
         assert!(plan.take_crash(1));
         assert!(plan.is_spent());
-    }
-
-    #[test]
-    fn seeded_storm_is_deterministic() {
-        let a = FaultPlan::seeded_storm(9, 10, 20, 4);
-        let b = FaultPlan::seeded_storm(9, 10, 20, 4);
-        assert_eq!(a, b);
-        assert!(!a.is_spent());
     }
 
     #[test]

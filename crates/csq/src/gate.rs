@@ -106,11 +106,6 @@ impl TemperatureSchedule {
         self.beta0 * self.beta_max.powf(t)
     }
 
-    /// The final (maximum) temperature.
-    pub fn beta_final(&self) -> f32 {
-        self.beta0 * self.beta_max
-    }
-
     /// Number of epochs the schedule spans.
     pub fn total_epochs(&self) -> usize {
         self.total_epochs
@@ -178,7 +173,8 @@ mod tests {
     #[test]
     fn schedule_saturates_past_end() {
         let s = TemperatureSchedule::paper_default(10);
-        assert_eq!(s.beta_at(50), s.beta_final());
+        // β₀·β_max, with the paper's β₀ = 1 and β_max = 200.
+        assert_eq!(s.beta_at(50), 200.0);
     }
 
     #[test]

@@ -73,8 +73,7 @@ pub use fault::{ChaosPlan, FaultPlan};
 pub use gate::{temp_sigmoid, temp_sigmoid_grad, TemperatureSchedule};
 pub use pack::{PackedModel, PackedWeight};
 pub use qinfer::{
-    conv2d_integer, depthwise_conv2d_integer, linear_integer, IntegerWeight, QinferError,
-    QuantizedActivations,
+    conv2d_integer, linear_integer, IntegerWeight, QinferError, QuantizedActivations,
 };
 pub use resume::{SnapshotError, TrainPhase, TrainSnapshot};
 pub use scheme::{LayerScheme, QuantScheme};

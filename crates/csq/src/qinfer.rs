@@ -13,14 +13,15 @@
 //!
 //! # One integer GEMM
 //!
-//! Every quantized conv (dense and depthwise) and linear layer runs as
-//! one exact integer GEMM. [`IntegerWeight::from_packed`] packs a
-//! weight's codes once, at artifact compile time, into `i16` rows (one
-//! per output channel, in the `[C, KH, KW]` patch order) with a flag per
-//! all-zero row. At run time a convolution lowers its u8 codes to patch
-//! rows with [`im2col`] (padding is code 0), a linear layer uses its code
-//! rows as they are, and each output is the dot product of one patch row
-//! with one weight row: `i32` partial sums over K-chunks short enough
+//! Every quantized conv (dense, grouped or depthwise) and linear layer
+//! runs as one exact integer GEMM. [`IntegerWeight::from_packed`] packs
+//! a weight's codes once, at artifact compile time, into `i16` rows (one
+//! per output channel, in the `[C/G, KH, KW]` patch order) with a flag
+//! per all-zero row. At run time a convolution lowers its u8 codes to
+//! patch rows with im2col (padding is code 0), a linear layer uses its
+//! code rows as they are, and each output is the dot product of one
+//! weight row with its group's stretch of one patch row (the whole row
+//! when `G = 1`): `i32` partial sums over K-chunks short enough
 //! that none can overflow ([`IntegerWeight::k_chunk`], derived from the
 //! weight's largest |code|), added up in `i64`. The sum is therefore the
 //! exact integer dot product however it is chunked, and the final
@@ -226,9 +227,9 @@ const LANES: usize = 16;
 /// artifact compile time from a [`PackedWeight`]; immutable afterwards.
 ///
 /// The reduction axis is everything after the first dim: a linear weight
-/// `[OUT, IN]` packs `IN` codes per row, a conv weight `[OC, IC, KH, KW]`
-/// packs `IC·KH·KW` (the [`im2col`] patch layout), and a depthwise weight
-/// `[C, 1, KH, KW]` packs `KH·KW`.
+/// `[OUT, IN]` packs `IN` codes per row, and a conv weight
+/// `[OC, IC/G, KH, KW]` packs `(IC/G)·KH·KW`, one group's stretch of an
+/// im2col patch row (`KH·KW` for a depthwise conv).
 #[derive(Debug, Clone, PartialEq)]
 pub struct IntegerWeight {
     /// Output rows (dim 0 of the source weight).
@@ -342,29 +343,25 @@ fn check_rank(what: &'static str, dims: &[usize], expected: usize) -> Result<(),
 }
 
 /// Validates a conv's operands and returns its output dims
-/// `[N, OC, OH, OW]`. `x` must be `[N, C, H, W]` codes; `wdims` is
-/// `[OC, C, K, K]`, or `[C, 1, K, K]` when `depthwise`.
-pub(crate) fn conv_out_dims(
+/// `[N, OC, OH, OW]` and its group count `G = C / wdims[1]`. `x` must be
+/// `[N, C, H, W]` codes and `wdims` `[OC, C/G, K, K]`, with `G` dividing
+/// `OC`.
+fn conv_out_dims(
     x: &QuantizedActivations,
     wdims: &[usize],
     spec: ConvSpec,
-    depthwise: bool,
-) -> Result<[usize; 4], QinferError> {
+) -> Result<([usize; 4], usize), QinferError> {
     check_rank("activations", &x.dims, 4)?;
     check_rank("weights", wdims, 4)?;
     check_len("activations", x.dims.iter().product(), x.codes.len())?;
     let (n, c, h, wd) = (x.dims[0], x.dims[1], x.dims[2], x.dims[3]);
     let (oc, wc, kh, kw) = (wdims[0], wdims[1], wdims[2], wdims[3]);
-    let (fits, weight) = if depthwise {
-        (oc == c && wc == 1, oc * wc)
-    } else {
-        (wc == c, wc)
-    };
-    if !fits {
+    let groups = c.checked_div(wc).filter(|&g| g * wc == c).unwrap_or(0);
+    if groups == 0 || !oc.is_multiple_of(groups) {
         return Err(QinferError::ShapeMismatch {
             what: "channels",
             activation: c,
-            weight,
+            weight: wc,
         });
     }
     if kh != spec.kernel || kw != spec.kernel {
@@ -374,17 +371,18 @@ pub(crate) fn conv_out_dims(
             weight: kh.max(kw),
         });
     }
-    Ok([n, oc, spec.out_size(h), spec.out_size(wd)])
+    Ok(([n, oc, spec.out_size(h), spec.out_size(wd)], groups))
 }
 
 /// Lowers `[N, C, H, W]` activation codes (validated by
 /// [`conv_out_dims`]) to patch rows: one row of `C·K·K` codes per output
 /// position, `N·OH·OW` rows in sample, then `oh`, then `ow` order. A row
-/// is laid out channel, kernel row, kernel column — the order of a
-/// `[OC, C, K, K]` weight row — and zero-filled from `C·K·K` up to
-/// `row_len`. Padding is code 0, which adds nothing to an integer dot
-/// product. The buffer comes from `scratch`; callers give it back.
-pub(crate) fn im2col(
+/// is laid out channel, kernel row, kernel column — group `g`'s stretch
+/// is the order of a `[OC, C/G, K, K]` weight row — and zero-filled from
+/// `C·K·K` up to `row_len`. Padding is code 0, which adds nothing to an
+/// integer dot product. The buffer comes from `scratch`; callers give it
+/// back.
+fn im2col(
     x: &QuantizedActivations,
     spec: ConvSpec,
     row_len: usize,
@@ -478,9 +476,10 @@ fn dot_i32(x: &[u8], w: &[i16]) -> i32 {
 
 /// The integer GEMM behind every quantized weighted op. `patches` holds
 /// `samples · m` rows of `kp` codes; the result is `[samples, w.rows, m]`
-/// with `out[n, o, s] = dot(patch (n, s), weight row o) · scale`. Row `o`
-/// reduces over the whole patch row, or, when `grouped` (depthwise), over
-/// its own channel's `w.k` columns starting at `o·w.k`.
+/// with `out[n, o, s] = dot(patch (n, s), weight row o) · scale`. With
+/// one group, row `o` reduces over the whole patch row; with `groups`
+/// groups, over its group's `w.k` columns, starting at
+/// `(o / (w.rows / groups))·w.k`.
 ///
 /// Tasks own whole output planes `(n, o)`, sized by shape only.
 fn gemm(
@@ -489,14 +488,15 @@ fn gemm(
     m: usize,
     kp: usize,
     w: &IntegerWeight,
-    grouped: bool,
+    groups: usize,
     scale: f32,
 ) -> Vec<f32> {
-    let len = if grouped { w.k } else { kp };
+    let len = if groups == 1 { kp } else { w.k };
     let mut out = vec![0.0f32; samples * w.rows * m];
     if out.is_empty() {
         return out;
     }
+    let group_rows = w.rows / groups;
     let planes_per_task = par::chunk_len(samples * w.rows, m * len);
     par::par_chunks_mut(&mut out, planes_per_task * m, |_t, start, chunk| {
         for (i, plane) in chunk.chunks_exact_mut(m).enumerate() {
@@ -506,7 +506,7 @@ fn gemm(
                 continue;
             }
             let wrow = &w.codes[o * w.stride..o * w.stride + len];
-            let off = if grouped { o * w.k } else { 0 };
+            let off = o / group_rows * w.k;
             for (s, y) in plane.iter_mut().enumerate() {
                 let base = (n * m + s) * kp + off;
                 *y = dot(&patches[base..base + len], wrow, w.k_chunk) as f32 * scale;
@@ -520,7 +520,8 @@ fn gemm(
 /// weights as one im2col + integer GEMM, one float scale per output.
 ///
 /// `x` is `[N, IC, H, W]` quantized activations; `w` packs a conv weight
-/// `[OC, IC, KH, KW]`. Returns float `[N, OC, OH, OW]`. `scratch`
+/// `[OC, IC/G, KH, KW]`, whose dims give the group count `G` (`G = IC`
+/// for a depthwise conv). Returns float `[N, OC, OH, OW]`. `scratch`
 /// recycles the u8 patch buffer.
 pub fn conv2d_integer(
     x: &QuantizedActivations,
@@ -528,32 +529,15 @@ pub fn conv2d_integer(
     spec: ConvSpec,
     scratch: &ScratchPool<u8>,
 ) -> Result<Tensor, QinferError> {
-    let [n, oc, oh, ow] = conv_out_dims(x, &w.dims, spec, false)?;
-    // Patch rows padded like the weight rows: the lane loop has no tail.
-    let cols = im2col(x, spec, w.stride, scratch);
-    let y = gemm(&cols, n, oh * ow, w.stride, w, false, w.step * x.step);
+    let ([n, oc, oh, ow], groups) = conv_out_dims(x, &w.dims, spec)?;
+    // A dense conv's patch rows are padded like its weight rows, so the
+    // lane loop has no tail; a grouped conv's rows hold each group's
+    // `w.k` columns back to back.
+    let kp = if groups == 1 { w.stride } else { groups * w.k };
+    let cols = im2col(x, spec, kp, scratch);
+    let y = gemm(&cols, n, oh * ow, kp, w, groups, w.step * x.step);
     scratch.give(cols);
     Ok(Tensor::from_vec(y, &[n, oc, oh, ow]))
-}
-
-/// Integer depthwise 2-D convolution: one `[1, K, K]` integer filter per
-/// channel, run on the same im2col + integer GEMM as
-/// [`conv2d_integer`], each filter reducing over its own channel's
-/// patch columns.
-///
-/// `x` is `[N, C, H, W]` quantized activations; `w` packs a depthwise
-/// weight `[C, 1, KH, KW]`. Returns float `[N, C, OH, OW]`.
-pub fn depthwise_conv2d_integer(
-    x: &QuantizedActivations,
-    w: &IntegerWeight,
-    spec: ConvSpec,
-    scratch: &ScratchPool<u8>,
-) -> Result<Tensor, QinferError> {
-    let [n, c, oh, ow] = conv_out_dims(x, &w.dims, spec, true)?;
-    let cols = im2col(x, spec, 0, scratch);
-    let y = gemm(&cols, n, oh * ow, c * w.k, w, true, w.step * x.step);
-    scratch.give(cols);
-    Ok(Tensor::from_vec(y, &[n, c, oh, ow]))
 }
 
 /// Integer fully-connected layer: `y = codes(x) · codes(W)ᵀ · scale`, the
@@ -573,7 +557,7 @@ pub fn linear_integer(x: &QuantizedActivations, w: &IntegerWeight) -> Result<Ten
             weight: w.k,
         });
     }
-    let y = gemm(&x.codes, b, 1, inf, w, false, w.step * x.step);
+    let y = gemm(&x.codes, b, 1, inf, w, 1, w.step * x.step);
     Ok(Tensor::from_vec(y, &[b, w.rows]))
 }
 
@@ -700,8 +684,8 @@ mod tests {
         let (pw, w) = packed_weight(&[3, 1, 3, 3], 8);
         let spec = ConvSpec::new(3, 1, 1);
         let xq = QuantizedActivations::quantize(&x).unwrap();
-        let y_int = depthwise_conv2d_integer(&xq, &int(&pw), spec, &ScratchPool::new()).unwrap();
-        let y_ref = csq_tensor::conv::depthwise_conv2d(&xq.dequantize(), &w, spec);
+        let y_int = conv2d_integer(&xq, &int(&pw), spec, &ScratchPool::new()).unwrap();
+        let y_ref = conv2d(&xq.dequantize(), &w, spec);
         assert!(y_int.approx_eq(&y_ref, 1e-3));
     }
 
@@ -806,7 +790,7 @@ mod tests {
         dw.codes[..9].iter_mut().for_each(|c| *c = 0);
         let xd = init::uniform(&[1, 3, 5, 5], 0.0, 1.0, &mut rng);
         let qd = QuantizedActivations::quantize(&xd).unwrap();
-        let yd = depthwise_conv2d_integer(&qd, &int(&dw), spec, &ScratchPool::new()).unwrap();
+        let yd = conv2d_integer(&qd, &int(&dw), spec, &ScratchPool::new()).unwrap();
         assert!(yd.data()[..per].iter().all(|&v| v == 0.0));
     }
 

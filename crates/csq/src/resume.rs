@@ -11,7 +11,7 @@
 //!   activation-range EMAs,
 //! * optimizer moments ([`csq_nn::OptimState`]),
 //! * the phase ([`TrainPhase`]), epochs completed within it, and the full
-//!   [`EpochStats`](crate::EpochStats) history so far,
+//!   [`EpochStats`] history so far,
 //! * the recovery learning-rate scale and the loader seed,
 //! * the worker-thread count of the writing process (informational:
 //!   the deterministic parallel runtime makes resuming under a

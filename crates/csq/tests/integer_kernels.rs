@@ -1,18 +1,18 @@
 //! Bit-exactness of the integer GEMM kernels (`conv2d_integer`,
-//! `depthwise_conv2d_integer`, `linear_integer`) against direct-loop
-//! `i64` references kept in this file.
+//! `linear_integer`) against direct-loop `i64` references kept in this
+//! file.
 //!
 //! A seeded sweep covers 1×1, 3×3 and 5×5 kernels, strides 1–2, padding
-//! 0–2, channel and feature counts that are not tile multiples, batches
-//! 1–4 and all-zero filters, at 1 and 4 threads; fixed cases drive
+//! 0–2, dense, grouped and depthwise convs, channel and feature counts
+//! that are not tile multiples, batches 1–4 and all-zero filters, at 1
+//! and 4 threads; fixed cases drive
 //! 255 × ±255 operands (and the widest packable codes) to and past the
 //! K-chunk boundary where `i32` partial sums are handed to `i64`. Uses
 //! only std and the workspace crates, so it builds offline.
 
 use csq_core::pack::PackedWeight;
 use csq_core::qinfer::{
-    conv2d_integer, depthwise_conv2d_integer, linear_integer, IntegerWeight, QinferError,
-    QuantizedActivations, MAX_CODE,
+    conv2d_integer, linear_integer, IntegerWeight, QinferError, QuantizedActivations, MAX_CODE,
 };
 use csq_tensor::conv::ConvSpec;
 use csq_tensor::par::{self, ScratchPool};
@@ -80,16 +80,13 @@ fn weight(rng: &mut Rng, dims: &[usize], max: i32) -> PackedWeight {
     }
 }
 
-/// Direct-loop reference convolution, `i64` accumulation. `depthwise`
-/// gives each output channel its own input channel.
-fn conv_ref(
-    x: &QuantizedActivations,
-    w: &PackedWeight,
-    spec: ConvSpec,
-    depthwise: bool,
-) -> Vec<f32> {
+/// Direct-loop reference convolution, `i64` accumulation. The weight is
+/// `[OC, C/G, K, K]`: output channel `o` reads the `C/G` input channels
+/// of its group, `o / (OC/G)`.
+fn conv_ref(x: &QuantizedActivations, w: &PackedWeight, spec: ConvSpec) -> Vec<f32> {
     let (n, c, h, wd) = (x.dims[0], x.dims[1], x.dims[2], x.dims[3]);
     let (oc, wc, k) = (w.dims[0], w.dims[1], spec.kernel);
+    let group_oc = oc / (c / wc);
     let (oh, ow) = (spec.out_size(h), spec.out_size(wd));
     let scale = w.step * x.step;
     let mut out = Vec::with_capacity(n * oc * oh * ow);
@@ -99,7 +96,7 @@ fn conv_ref(
                 for oj in 0..ow {
                     let mut acc = 0i64;
                     for wci in 0..wc {
-                        let ci = if depthwise { o } else { wci };
+                        let ci = o / group_oc * wc + wci;
                         for ki in 0..k {
                             for kj in 0..k {
                                 let ii = (oi * spec.stride + ki) as isize - spec.padding as isize;
@@ -142,24 +139,33 @@ fn pack(w: &PackedWeight) -> IntegerWeight {
     IntegerWeight::from_packed(w).expect("packable codes")
 }
 
+/// Dense (`G = 1`), grouped (`1 < G < IC`) and depthwise (`G = IC`)
+/// convs, one in three each; the sweep checks that it met every kind.
 #[test]
 fn seeded_conv_sweep_matches_direct_loops_at_1_and_4_threads() {
     let scratch = ScratchPool::new();
-    for case in 0..240u64 {
+    let mut seen = [false; 3];
+    for case in 0..300u64 {
         let mut rng = Rng::new(case);
         let k = rng.pick(&[1usize, 3, 5]);
         let stride = rng.range(1, 2);
         let padding = rng.range(0, 2);
         let spec = ConvSpec::new(k, stride, padding);
         let n = rng.range(1, 4);
-        let ic = rng.range(1, 9);
-        let oc = rng.range(1, 19);
+        let kind = rng.range(0, 2);
+        seen[kind] = true;
+        let (groups, icg, ocg) = match kind {
+            0 => (1, rng.range(1, 9), rng.range(1, 18)),
+            1 => (rng.range(2, 3), rng.range(2, 4), rng.range(1, 3)),
+            _ => (rng.range(2, 10), 1, rng.range(1, 2)),
+        };
+        let (ic, oc) = (groups * icg, groups * ocg);
         let lo = k.saturating_sub(2 * padding).max(1);
         let (h, wd) = (rng.range(lo, lo + 7), rng.range(lo, lo + 7));
         let max = rng.pick(&[1, 3, 7, 127, 255]);
         let x = acts(&mut rng, &[n, ic, h, wd]);
-        let w = weight(&mut rng, &[oc, ic, k, k], max);
-        let want = conv_ref(&x, &w, spec, false);
+        let w = weight(&mut rng, &[oc, icg, k, k], max);
+        let want = conv_ref(&x, &w, spec);
         let iw = pack(&w);
         for threads in [1usize, 4] {
             let got = par::with_threads(threads, || conv2d_integer(&x, &iw, spec, &scratch))
@@ -171,37 +177,12 @@ fn seeded_conv_sweep_matches_direct_loops_at_1_and_4_threads() {
             assert_eq!(
                 got.data(),
                 &want[..],
-                "case {case}: k={k} s={stride} p={padding} n={n} ic={ic} oc={oc} \
+                "case {case}: k={k} s={stride} p={padding} n={n} ic={ic} oc={oc} G={groups} \
                  {h}x{wd} max={max} threads={threads}"
             );
         }
     }
-}
-
-#[test]
-fn seeded_depthwise_sweep_matches_direct_loops_at_1_and_4_threads() {
-    let scratch = ScratchPool::new();
-    for case in 0..120u64 {
-        let mut rng = Rng::new(1000 + case);
-        let k = rng.pick(&[1usize, 3, 5]);
-        let spec = ConvSpec::new(k, rng.range(1, 2), rng.range(0, 2));
-        let n = rng.range(1, 4);
-        let c = rng.range(1, 11);
-        let lo = k.saturating_sub(2 * spec.padding).max(1);
-        let (h, wd) = (rng.range(lo, lo + 7), rng.range(lo, lo + 7));
-        let x = acts(&mut rng, &[n, c, h, wd]);
-        let max = rng.pick(&[3, 255]);
-        let w = weight(&mut rng, &[c, 1, k, k], max);
-        let want = conv_ref(&x, &w, spec, true);
-        let iw = pack(&w);
-        for threads in [1usize, 4] {
-            let got = par::with_threads(threads, || {
-                depthwise_conv2d_integer(&x, &iw, spec, &scratch)
-            })
-            .expect("depthwise");
-            assert_eq!(got.data(), &want[..], "case {case} threads={threads}");
-        }
-    }
+    assert!(seen.iter().all(|&s| s), "sweep missed a grouping: {seen:?}");
 }
 
 #[test]
@@ -293,7 +274,7 @@ fn extreme_operands_stay_exact_at_and_past_the_k_chunk_boundary() {
         dims: vec![2, ic, 3, 3],
         bits: 8.0,
     };
-    let want = conv_ref(&x, &w, spec, false);
+    let want = conv_ref(&x, &w, spec);
     let got = conv2d_integer(&x, &pack(&w), spec, &ScratchPool::new()).expect("conv");
     assert_eq!(got.data(), &want[..]);
 }

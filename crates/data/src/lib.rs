@@ -33,7 +33,6 @@
 // doctests are exempt.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod augment;
 pub mod loader;
 pub mod synth;
 

@@ -20,7 +20,7 @@
 //!   the ranked list. Per-tenant token buckets gate admission before
 //!   routing — the workspace's only quota layer — so one tenant's
 //!   overload sheds *their* traffic, not their neighbours'.
-//! * [`rollout`] — replica-by-replica version upgrades through
+//! * [`rollout()`] — replica-by-replica version upgrades through
 //!   `Engine::swap_model`, with a bit-exactness canary on a pinned
 //!   probe batch after every swap and automatic rollback to the
 //!   incumbent version on any mismatch or contract refusal.

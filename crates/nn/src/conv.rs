@@ -12,6 +12,12 @@ use rand_chacha::ChaCha8Rng;
 /// [`WeightSource`] — a float tensor, the CSQ bit-level parameterization,
 /// or any baseline quantizer.
 ///
+/// The weight is `[OC, IC/G, K, K]`, and the group count `G` follows
+/// from its size: a dense conv holds `OC·IC·K²` elements (`G = 1`), and
+/// a depthwise conv over `C` channels (MobileNetV2) holds a
+/// `[C, 1, K, K]` weight (`G = C`). Every group's filters are quantized
+/// the same way, by the same source.
+///
 /// Bias is optional; the paper's models use BatchNorm after every
 /// convolution, so conv biases are disabled there.
 #[derive(Debug)]
@@ -28,12 +34,13 @@ pub struct Conv2d {
 }
 
 impl Conv2d {
-    /// Creates a convolution from an already-constructed weight source.
+    /// Creates a convolution from an already-constructed weight source
+    /// of `OC·(IC/G)·K²` elements.
     ///
     /// # Panics
     ///
-    /// Panics if `in_channels`/`out_channels`/`spec` are inconsistent with
-    /// the source's element count.
+    /// Panics if no group count `G` dividing both `in_channels` and
+    /// `out_channels` fits the source's element count.
     pub fn new(
         weight: Box<dyn WeightSource>,
         in_channels: usize,
@@ -41,9 +48,15 @@ impl Conv2d {
         spec: ConvSpec,
         bias: bool,
     ) -> Self {
-        assert_eq!(
-            weight.numel(),
-            out_channels * in_channels * spec.kernel * spec.kernel,
+        // The source holds OC·(IC/G)·K² elements, and G = IC / (IC/G).
+        let taps = out_channels * spec.kernel * spec.kernel;
+        let group_in = weight.numel().checked_div(taps).unwrap_or(0);
+        let groups = in_channels.checked_div(group_in).unwrap_or(0);
+        assert!(
+            groups > 0
+                && group_in * taps == weight.numel()
+                && groups * group_in == in_channels
+                && out_channels.is_multiple_of(groups),
             "weight source element count mismatch"
         );
         Conv2d {
@@ -182,11 +195,16 @@ mod tests {
     use crate::layer::collect_grads;
 
     fn fd_check_conv(bias: bool) {
-        let spec = ConvSpec::new(3, 1, 1);
-        let mut layer = Conv2d::with_float_weights(2, 3, spec, bias, 42);
+        let layer = Conv2d::with_float_weights(2, 3, ConvSpec::new(3, 1, 1), bias, 42);
+        fd_check(layer, 2, 3);
+    }
+
+    /// Finite differences on every parameter of `layer`, a 3×3 "same"
+    /// conv from `ic` to `oc` channels.
+    fn fd_check(mut layer: Conv2d, ic: usize, oc: usize) {
         let mut rng = ChaCha8Rng::seed_from_u64(7);
-        let x = init::uniform(&[1, 2, 4, 4], -1.0, 1.0, &mut rng);
-        let gy_template = init::uniform(&[1, 3, 4, 4], -1.0, 1.0, &mut rng);
+        let x = init::uniform(&[1, ic, 4, 4], -1.0, 1.0, &mut rng);
+        let gy_template = init::uniform(&[1, oc, 4, 4], -1.0, 1.0, &mut rng);
 
         let y = layer.forward(&x, true);
         let _gx = layer.backward(&gy_template);
@@ -228,6 +246,24 @@ mod tests {
         fd_check_conv(true);
     }
 
+    /// A depthwise conv is a `Conv2d` whose `[C, 1, K, K]` weight makes
+    /// `G = C`; its weight gradient reaches the source.
+    #[test]
+    fn depthwise_gradients_match_finite_difference() {
+        let mut rng = ChaCha8Rng::seed_from_u64(2);
+        let w = FloatWeight::new(init::kaiming_normal(&[3, 1, 3, 3], &mut rng));
+        let layer = Conv2d::new(Box::new(w), 3, 3, ConvSpec::new(3, 1, 1), false);
+        fd_check(layer, 3, 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "weight source element count mismatch")]
+    fn weight_that_fits_no_group_count_panics() {
+        // 4·2·9 elements over 3 input channels: IC/G = 2 does not divide 3.
+        let w = FloatWeight::new(Tensor::zeros(&[4, 2, 3, 3]));
+        Conv2d::new(Box::new(w), 3, 4, ConvSpec::new(3, 1, 1), false);
+    }
+
     #[test]
     fn eval_forward_does_not_cache() {
         let mut layer = Conv2d::with_float_weights(1, 1, ConvSpec::new(3, 1, 1), false, 0);
@@ -255,217 +291,5 @@ mod tests {
         });
         let y1 = layer.forward(&x, false);
         assert!(y1.sub(&y0).iter().all(|&v| (v - 5.0).abs() < 1e-6));
-    }
-}
-
-/// Depthwise 2-D convolution layer (one filter per channel), the building
-/// block of the MobileNet family the paper's introduction motivates.
-/// Weights come from a [`WeightSource`] like every other layer, so
-/// depthwise filters are quantized by CSQ and the baselines identically
-/// to dense ones.
-#[derive(Debug)]
-pub struct DepthwiseConv2d {
-    weight: Box<dyn WeightSource>,
-    spec: ConvSpec,
-    channels: usize,
-    cached_input: Option<Tensor>,
-    cached_weight: Option<Tensor>,
-}
-
-impl DepthwiseConv2d {
-    /// Creates a depthwise convolution from a weight source producing a
-    /// `[C, 1, K, K]` tensor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the source's element count mismatches the geometry.
-    pub fn new(weight: Box<dyn WeightSource>, channels: usize, spec: ConvSpec) -> Self {
-        assert_eq!(
-            weight.numel(),
-            channels * spec.kernel * spec.kernel,
-            "weight source element count mismatch"
-        );
-        DepthwiseConv2d {
-            weight,
-            spec,
-            channels,
-            cached_input: None,
-            cached_weight: None,
-        }
-    }
-
-    /// Creates a float-weight depthwise convolution with Kaiming init.
-    pub fn with_float_weights(channels: usize, spec: ConvSpec, seed: u64) -> Self {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let w = init::kaiming_normal(&[channels, 1, spec.kernel, spec.kernel], &mut rng);
-        Self::new(Box::new(FloatWeight::new(w)), channels, spec)
-    }
-}
-
-impl Layer for DepthwiseConv2d {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        assert_eq!(
-            input.dims()[1],
-            self.channels,
-            "depthwise input channel mismatch"
-        );
-        let w = self.weight.materialize().reshape(&[
-            self.channels,
-            1,
-            self.spec.kernel,
-            self.spec.kernel,
-        ]);
-        let y = csq_tensor::conv::depthwise_conv2d(input, &w, self.spec);
-        if train {
-            self.cached_input = Some(input.clone());
-            self.cached_weight = Some(w);
-        } else {
-            self.cached_input = None;
-            self.cached_weight = None;
-        }
-        y
-    }
-
-    fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        let input = crate::layer::take_cache(
-            &mut self.cached_input,
-            "DepthwiseConv2d::backward called before a training forward",
-        );
-        let w = crate::layer::take_cache(
-            &mut self.cached_weight,
-            "DepthwiseConv2d::backward missing cached weight",
-        );
-        let (grad_input, grad_w) =
-            csq_tensor::conv::depthwise_conv2d_backward(&input, &w, grad_output, self.spec);
-        self.weight.backward(&grad_w);
-        grad_input
-    }
-
-    fn visit_params_named(&mut self, path: &mut ParamPath, f: &mut dyn FnMut(ParamMut<'_>)) {
-        path.scoped("weight", |p| self.weight.visit_params_named(p, &mut *f));
-    }
-
-    fn visit_weight_sources_named(
-        &mut self,
-        path: &mut ParamPath,
-        f: &mut dyn FnMut(&str, &mut dyn WeightSource),
-    ) {
-        path.scoped("weight", |p| f(p.as_str(), self.weight.as_mut()));
-    }
-
-    fn export_infer_ops(
-        &self,
-        path: &mut ParamPath,
-        ops: &mut Vec<crate::export::InferOp>,
-    ) -> Result<(), crate::export::ExportError> {
-        ops.push(crate::export::InferOp::DepthwiseConv2d {
-            weight: path.scoped("weight", |p| p.as_str().to_string()),
-            channels: self.channels,
-            kernel: self.spec.kernel,
-            stride: self.spec.stride,
-            padding: self.spec.padding,
-        });
-        Ok(())
-    }
-
-    fn kind(&self) -> &'static str {
-        "depthwise_conv2d"
-    }
-}
-
-#[cfg(test)]
-mod depthwise_tests {
-    use super::*;
-    use crate::layer::collect_grads;
-
-    #[test]
-    fn forward_shape_and_backward_flow() {
-        let mut layer = DepthwiseConv2d::with_float_weights(3, ConvSpec::new(3, 1, 1), 0);
-        let mut rng = ChaCha8Rng::seed_from_u64(1);
-        let x = init::uniform(&[2, 3, 5, 5], -1.0, 1.0, &mut rng);
-        let y = layer.forward(&x, true);
-        assert_eq!(y.dims(), &[2, 3, 5, 5]);
-        let gx = layer.backward(&Tensor::ones(y.dims()));
-        assert_eq!(gx.dims(), x.dims());
-        assert!(collect_grads(&mut layer).iter().any(|&g| g != 0.0));
-    }
-
-    #[test]
-    fn gradients_match_finite_difference() {
-        let mut layer = DepthwiseConv2d::with_float_weights(2, ConvSpec::new(3, 1, 1), 2);
-        let mut rng = ChaCha8Rng::seed_from_u64(3);
-        let x = init::uniform(&[1, 2, 4, 4], -1.0, 1.0, &mut rng);
-        let gy = init::uniform(&[1, 2, 4, 4], -1.0, 1.0, &mut rng);
-        layer.forward(&x, true);
-        layer.backward(&gy);
-        let analytic = collect_grads(&mut layer);
-
-        fn bump(layer: &mut DepthwiseConv2d, pi: usize, delta: f32) {
-            let mut seen = 0usize;
-            layer.visit_params(&mut |p| {
-                let n = p.value.numel();
-                if pi >= seen && pi < seen + n {
-                    p.value.data_mut()[pi - seen] += delta;
-                }
-                seen += n;
-            });
-        }
-        let eps = 1e-2f32;
-        let mut max_err = 0.0f32;
-        for (pi, &grad) in analytic.iter().enumerate() {
-            bump(&mut layer, pi, eps);
-            let lp = layer.forward(&x, false).dot(&gy);
-            bump(&mut layer, pi, -2.0 * eps);
-            let lm = layer.forward(&x, false).dot(&gy);
-            bump(&mut layer, pi, eps);
-            max_err = max_err.max(((lp - lm) / (2.0 * eps) - grad).abs());
-        }
-        assert!(max_err < 5e-2, "max param-grad error {max_err}");
-    }
-
-    #[test]
-    fn quantized_depthwise_weights_work() {
-        // A depthwise layer whose filters come from a non-float source
-        // still trains (backward routes dW into the source).
-        #[derive(Debug)]
-        struct Doubling(crate::weight::FloatWeight);
-        impl WeightSource for Doubling {
-            fn materialize(&mut self) -> Tensor {
-                self.0.materialize().mul_scalar(2.0)
-            }
-            fn backward(&mut self, g: &Tensor) {
-                self.0.backward(&g.mul_scalar(2.0));
-            }
-            fn visit_params_named(
-                &mut self,
-                path: &mut ParamPath,
-                f: &mut dyn FnMut(ParamMut<'_>),
-            ) {
-                self.0.visit_params_named(path, f);
-            }
-            fn precision(&self) -> Option<f32> {
-                Some(8.0)
-            }
-            fn numel(&self) -> usize {
-                self.0.numel()
-            }
-        }
-        let w = Tensor::ones(&[2, 1, 3, 3]);
-        let mut layer = DepthwiseConv2d::new(
-            Box::new(Doubling(crate::weight::FloatWeight::new(w))),
-            2,
-            ConvSpec::new(3, 1, 1),
-        );
-        let x = Tensor::ones(&[1, 2, 3, 3]);
-        let y = layer.forward(&x, true);
-        // Center output: 9 taps × weight 2 = 18.
-        assert!((y.at(&[0, 0, 1, 1]) - 18.0).abs() < 1e-5);
-        layer.backward(&Tensor::ones(y.dims()));
-        let mut count = 0;
-        layer.visit_weight_sources(&mut |s| {
-            assert_eq!(s.precision(), Some(8.0));
-            count += 1;
-        });
-        assert_eq!(count, 1);
     }
 }

@@ -11,11 +11,13 @@
 //! Key properties:
 //!
 //! * **Weights by path, not by value.** Weighted ops ([`InferOp::Conv2d`],
-//!   [`InferOp::Linear`], [`InferOp::DepthwiseConv2d`]) reference their
-//!   weight tensor by the same stable hierarchical path the parameter
-//!   registry uses (e.g. `4.main.0.weight`). The serving artifact pairs
-//!   the op list with packed weights keyed by those paths, so this crate
-//!   stays independent of the quantizer's packed format.
+//!   [`InferOp::Linear`]) reference their weight tensor by the same
+//!   stable hierarchical path the parameter registry uses (e.g.
+//!   `4.main.0.weight`). The serving artifact pairs the op list with
+//!   packed weights keyed by those paths, so this crate stays
+//!   independent of the quantizer's packed format. A grouped or
+//!   depthwise conv is a [`InferOp::Conv2d`] like any other: its weight
+//!   is `[OC, IC/G, K, K]`, and the executor reads `G` off those dims.
 //! * **Folded constants.** BatchNorm exports as a per-channel affine
 //!   ([`InferOp::ChannelAffine`]) computed from its *running* statistics
 //!   (`scale = γ/√(var+ε)`, `shift = β − mean·scale`), and biases are
@@ -41,7 +43,9 @@ use serde::Serialize;
 /// `.csqm` artifacts and read back by this type's [`FromJson`] decoder.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub enum InferOp {
-    /// 2-D convolution; weight referenced by registry path.
+    /// 2-D convolution; weight referenced by registry path. The weight
+    /// is `[OC, IC/G, K, K]`: `G = 1` for a dense conv, `G = C` for a
+    /// depthwise one (`in_channels = out_channels = C`).
     Conv2d {
         /// Hierarchical path of the weight tensor (e.g. `0.weight`).
         weight: String,
@@ -57,19 +61,6 @@ pub enum InferOp {
         padding: usize,
         /// Per-output-channel bias, if the layer has one.
         bias: Option<Vec<f32>>,
-    },
-    /// Depthwise 2-D convolution (one `[1, K, K]` filter per channel).
-    DepthwiseConv2d {
-        /// Hierarchical path of the weight tensor.
-        weight: String,
-        /// Channel count (input = output).
-        channels: usize,
-        /// Square kernel size.
-        kernel: usize,
-        /// Stride.
-        stride: usize,
-        /// Zero padding.
-        padding: usize,
     },
     /// Fully-connected layer; weight referenced by registry path.
     Linear {
@@ -158,13 +149,6 @@ impl FromJson for InferOp {
                 stride: positive(body, c, "stride")?,
                 padding: field(body, c, "padding")?,
                 bias: field(body, c, "bias")?,
-            },
-            "DepthwiseConv2d" => InferOp::DepthwiseConv2d {
-                weight: field(body, c, "weight")?,
-                channels: field(body, c, "channels")?,
-                kernel: positive(body, c, "kernel")?,
-                stride: positive(body, c, "stride")?,
-                padding: field(body, c, "padding")?,
             },
             "Linear" => InferOp::Linear {
                 weight: field(body, c, "weight")?,

@@ -10,8 +10,9 @@
 //!   produced by an arbitrary differentiable parameterization — this is the
 //!   hook that the CSQ bit-level parameterization and all baseline
 //!   quantizers plug into,
-//! * standard layers ([`Conv2d`], [`Linear`], [`BatchNorm2d`], [`Relu`],
-//!   pooling, [`Sequential`], residual blocks),
+//! * standard layers ([`Conv2d`] — dense, grouped or depthwise —,
+//!   [`Linear`], [`BatchNorm2d`], [`Relu`], pooling, [`Sequential`],
+//!   residual blocks),
 //! * uniform activation fake-quantization with a straight-through backward
 //!   ([`ActQuant`]), matching the paper's fixed uniform activation scheme,
 //! * losses, metrics, [`Sgd`] with momentum/weight decay and the cosine
@@ -60,7 +61,7 @@ pub use activation::Pact;
 pub use activation::{ActQuant, Relu};
 pub use batchnorm::BatchNorm2d;
 pub use checkpoint::Checkpoint;
-pub use conv::{Conv2d, DepthwiseConv2d};
+pub use conv::Conv2d;
 pub use export::{count_ops, export_model, ExportError, InferOp};
 pub use layer::{Layer, ParamMut, ParamPath, ParamRole};
 pub use linear::Linear;

@@ -1,13 +1,7 @@
 //! Evaluation metrics.
-//!
-//! The [`RunningMean`] accumulator now lives in `csq-obs` (shared with
-//! the telemetry registry); it is re-exported here so existing callers
-//! keep working.
 
 use csq_tensor::reduce::argmax_rows;
 use csq_tensor::Tensor;
-
-pub use csq_obs::RunningMean;
 
 /// Top-1 classification accuracy in `[0, 1]`.
 ///
@@ -47,14 +41,5 @@ mod tests {
     fn accuracy_counts_matches() {
         let logits = Tensor::from_vec(vec![1.0, 0.0, 0.0, 1.0, 1.0, 0.0], &[3, 2]);
         assert!((accuracy(&logits, &[0, 1, 1]) - 2.0 / 3.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn running_mean_reexport_still_works() {
-        let mut m = RunningMean::new();
-        m.add(1.0, 1);
-        m.add(0.0, 3);
-        assert!((m.mean() - 0.25).abs() < 1e-6);
-        assert_eq!(m.count(), 4);
     }
 }

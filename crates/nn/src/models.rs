@@ -522,12 +522,14 @@ impl<'a> Builder<'a> {
         if expansion != 1 {
             main.extend(self.conv_bn_relu(in_c, mid_c, ConvSpec::new(1, 1, 0)));
         }
-        // Depthwise 3x3.
+        // Depthwise 3x3: a [C, 1, 3, 3] weight, one group per channel.
         let w0 = init::kaiming_normal(&[mid_c, 1, 3, 3], &mut self.rng);
-        main.push(Box::new(crate::conv::DepthwiseConv2d::new(
+        main.push(Box::new(Conv2d::new(
             (self.factory)(w0),
             mid_c,
+            mid_c,
             ConvSpec::new(3, stride, 1),
+            false,
         )));
         main.push(Box::new(BatchNorm2d::new(mid_c)));
         main.push(Box::new(Relu::new()));
@@ -587,11 +589,15 @@ mod mobilenet_tests {
         let cfg = ModelConfig::cifar_like(8, None, 0);
         let mut fac = float_factory();
         let mut m = mobilenet_v2(cfg, &mut fac);
-        let mut sources = 0;
-        m.visit_weight_sources(&mut |_| sources += 1);
+        let (mut sources, mut depthwise) = (0, 0);
+        m.visit_weight_sources(&mut |s| {
+            sources += 1;
+            depthwise += usize::from(s.materialize().dims()[1..] == [1, 3, 3]);
+        });
         // Stem + 17 blocks (up to 3 convs each + shortcuts) + head + fc:
         // exact count depends on skip structure; just require plenty.
         assert!(sources > 40, "found {sources} weight sources");
+        assert_eq!(depthwise, 17, "one [C, 1, 3, 3] conv weight per block");
         assert!(count_params(&mut m) > 10_000);
     }
 

@@ -184,41 +184,6 @@ impl HistogramSnapshot {
     }
 }
 
-/// Running average helper for loss/accuracy curves (moved here from
-/// `csq_nn::metrics`, which re-exports it).
-#[derive(Debug, Clone, Default)]
-pub struct RunningMean {
-    sum: f64,
-    count: usize,
-}
-
-impl RunningMean {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds an observation with weight `n` (e.g. a batch of size `n`).
-    pub fn add(&mut self, value: f32, n: usize) {
-        self.sum += value as f64 * n as f64;
-        self.count += n;
-    }
-
-    /// Current mean (0 when empty).
-    pub fn mean(&self) -> f32 {
-        if self.count == 0 {
-            0.0
-        } else {
-            (self.sum / self.count as f64) as f32
-        }
-    }
-
-    /// Number of observations accumulated.
-    pub fn count(&self) -> usize {
-        self.count
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -296,15 +261,5 @@ mod tests {
         let h = GeoHistogram::new(4);
         h.record(u64::MAX);
         assert_eq!(h.snapshot().percentile(0.5), GeoHistogram::bound(3));
-    }
-
-    #[test]
-    fn running_mean_weighted() {
-        let mut m = RunningMean::new();
-        m.add(1.0, 1);
-        m.add(0.0, 3);
-        assert!((m.mean() - 0.25).abs() < 1e-6);
-        assert_eq!(m.count(), 4);
-        assert_eq!(RunningMean::new().mean(), 0.0);
     }
 }

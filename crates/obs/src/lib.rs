@@ -39,7 +39,7 @@ pub mod profiler;
 pub mod registry;
 pub mod trace;
 
-pub use hist::{GeoHistogram, HistogramSnapshot, RunningMean};
+pub use hist::{GeoHistogram, HistogramSnapshot};
 pub use registry::{
     global as global_registry, Counter, Gauge, Histogram, MetricsRegistry, MetricsSnapshot, Series,
 };

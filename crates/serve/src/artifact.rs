@@ -562,6 +562,53 @@ mod tests {
         }
     }
 
+    /// A conv's `[OC, IC/G, K, K]` weight must fit its channels for some
+    /// group count `G`; one that fits none, a zero dim included, is a
+    /// typed bind error, and a depthwise one compiles.
+    #[test]
+    fn conv_weight_that_fits_no_grouping_is_a_bind_error() {
+        let conv = |dims: &[usize], in_channels, out_channels, kernel| {
+            let mut artifact = empty_artifact(CSQM_FORMAT_VERSION);
+            artifact.ops = vec![InferOp::Conv2d {
+                weight: "w".to_string(),
+                in_channels,
+                out_channels,
+                kernel,
+                stride: 1,
+                padding: 0,
+                bias: None,
+            }];
+            let n = dims.iter().product();
+            artifact.weights = vec![packed("w", dims, vec![1; n])];
+            artifact.calibration = vec![CalibrationEntry {
+                weight_path: "w".to_string(),
+                step: 0.01,
+                observed_lo: 0.0,
+                observed_hi: 2.55,
+                integer: true,
+            }];
+            artifact.compile().map(|_| ())
+        };
+        for (dims, ic, oc, k) in [
+            (&[4, 3, 3, 3][..], 4, 4, 3), // 3 does not divide 4
+            (&[3, 2, 3, 3], 4, 3, 3),     // G = 2 does not divide 3
+            (&[4, 2, 3, 3], 4, 5, 3),     // OC disagrees
+            (&[4, 2, 3, 3], 0, 4, 3),     // G = 0
+            (&[4, 0, 3, 3], 4, 4, 3),     // IC/G = 0
+            (&[4, 2, 1, 1], 4, 4, 3),     // kernel disagrees
+            (&[4, 2, 3], 4, 4, 3),        // rank 3
+        ] {
+            match conv(dims, ic, oc, k) {
+                Err(ArtifactError::Bind(BindError::ConvShape { path, .. })) => {
+                    assert_eq!(path, "w")
+                }
+                other => panic!("{dims:?} {ic}->{oc}: expected ConvShape, got {other:?}"),
+            }
+        }
+        conv(&[4, 1, 3, 3], 4, 4, 3).expect("depthwise conv compiles");
+        conv(&[6, 2, 1, 1], 4, 6, 1).expect("two-group conv compiles");
+    }
+
     #[test]
     fn compile_version_mismatch_has_no_path() {
         let err = empty_artifact(CSQM_FORMAT_VERSION + 1)

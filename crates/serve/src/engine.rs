@@ -999,47 +999,54 @@ mod tests {
         assert!(engine.infer(sample(1)).is_ok());
     }
 
-    /// A request whose deadline passes while its batch is in the kernel
-    /// is settled once — expired by its waiter, not also completed by
-    /// the worker — so once the engine is quiet the outcomes add up to
-    /// what was submitted, and match what the callers were told.
+    /// A request whose deadline passes while its batch is held in the
+    /// worker is settled once — expired by its waiter or by the worker's
+    /// deadline pass, never also completed — so once the engine is quiet
+    /// the outcomes add up to what was submitted, and match what the
+    /// callers were told. The chaos plan holds every second batch for
+    /// five times its request's budget, so exactly those requests expire
+    /// however fast the host runs; the others carry no deadline.
     #[test]
     fn deadline_passing_mid_forward_settles_exactly_once() {
-        let n = 1024;
-        let engine = Engine::start(
-            wide_model(n),
+        let budget = Duration::from_millis(20);
+        let held = [1usize, 3, 5, 7];
+        let chaos = held.iter().fold(ChaosPlan::new(), |plan, &b| {
+            plan.delay_batch_at(b as u64, 5 * budget)
+        });
+        let engine = Engine::start_with_chaos(
+            tiny_model(),
             EngineConfig {
                 workers: 1,
                 max_batch: 1,
                 batch_window: Duration::ZERO,
                 ..EngineConfig::default()
             },
+            chaos,
         );
-        let x = || Tensor::from_vec(vec![0.5; n], &[n]);
-        let forward = (0..3)
-            .map(|_| {
-                let t = Instant::now();
-                engine.infer(x()).unwrap();
-                t.elapsed()
-            })
-            .min()
-            .unwrap();
+        // One worker and one-request batches: request `i` is batch `i`.
         let mut expired = 0;
-        for k in 1..=8 {
-            let opts = SubmitOptions::default().with_deadline(forward * k / 20);
-            match engine.submit_with(x(), opts).unwrap().wait() {
-                Ok(_) => {}
-                Err(ServeError::DeadlineExceeded) => expired += 1,
+        for i in 0..8 {
+            let opts = if held.contains(&i) {
+                SubmitOptions::default().with_deadline(budget)
+            } else {
+                SubmitOptions::default()
+            };
+            match engine.submit_with(sample(i), opts).unwrap().wait() {
+                Ok(_) => assert!(!held.contains(&i), "held request {i} completed"),
+                Err(ServeError::DeadlineExceeded) => {
+                    assert!(held.contains(&i), "request {i} expired without a deadline");
+                    expired += 1;
+                }
                 Err(e) => panic!("unexpected error: {e}"),
             }
         }
-        assert!(expired > 0, "budgets below one forward must expire");
+        assert_eq!(expired, held.len());
         let registry = engine.registry();
         drop(engine);
         let s = EngineStats::from_snapshot(&registry.snapshot());
-        assert_eq!(s.submitted, 11);
+        assert_eq!(s.submitted, 8);
         assert_eq!(s.completed + s.expired + s.failed, s.submitted);
-        assert_eq!((s.completed, s.expired), (11 - expired, expired));
+        assert_eq!((s.completed, s.expired), (4, 4));
     }
 
     /// The fleet view of a single replica is the replica's own view,

@@ -7,8 +7,9 @@
 //!
 //! * **Integer mode** ([`CompiledModel::forward_batch`]) — the deployment
 //!   path. Inputs to each weighted op are quantized to 8-bit codes with
-//!   that op's *calibrated* step, and every conv, depthwise conv and
-//!   linear op runs the one exact integer GEMM: im2col u8 patch rows
+//!   that op's *calibrated* step, and every conv (dense, grouped or
+//!   depthwise) and linear op runs the one exact integer GEMM: im2col u8
+//!   patch rows
 //!   against `i16` weight rows packed once at bind time as an
 //!   [`IntegerWeight`], exact `i32`/`i64` sums, one float scale per
 //!   output. Nothing is selected per request. Ops whose calibrated input
@@ -25,12 +26,11 @@
 //! the property the engine's micro-batching relies on.
 
 use csq_core::qinfer::{
-    conv2d_integer, depthwise_conv2d_integer, linear_integer, IntegerWeight, QinferError,
-    QuantizedActivations,
+    conv2d_integer, linear_integer, IntegerWeight, QinferError, QuantizedActivations,
 };
 use csq_core::PackedWeight;
 use csq_nn::InferOp;
-use csq_tensor::conv::{conv2d, depthwise_conv2d, ConvSpec};
+use csq_tensor::conv::{conv2d, ConvSpec};
 use csq_tensor::par::ScratchPool;
 use csq_tensor::{pool, Tensor};
 use std::collections::HashMap;
@@ -160,15 +160,13 @@ impl ActGrid {
 /// One executable op bound to its weight slot.
 #[derive(Debug, Clone)]
 enum BoundOp {
+    /// A conv whose weight `[OC, IC/G, K, K]` `bind` checked against
+    /// `in_channels`; the kernels read the group count `G` off the dims.
     Conv {
         widx: usize,
+        in_channels: usize,
         spec: ConvSpec,
         bias: Option<Tensor>,
-        grid: ActGrid,
-    },
-    Depthwise {
-        widx: usize,
-        spec: ConvSpec,
         grid: ActGrid,
     },
     Linear {
@@ -210,8 +208,8 @@ enum BoundOp {
 struct BoundWeight {
     packed: PackedWeight,
     float: Tensor,
-    /// `i16` code rows for the integer GEMM, present when some conv,
-    /// depthwise or linear op runs this weight on the integer grid.
+    /// `i16` code rows for the integer GEMM, present when some conv or
+    /// linear op runs this weight on the integer grid.
     integer: Option<IntegerWeight>,
 }
 
@@ -266,6 +264,20 @@ pub enum BindError {
         /// Why binding failed.
         error: QinferError,
     },
+    /// A conv's weight is not `[out_channels, in_channels/G, kernel,
+    /// kernel]` for any group count `G` dividing both channel counts.
+    ConvShape {
+        /// The weight path.
+        path: String,
+        /// The packed weight's dims.
+        dims: Vec<usize>,
+        /// The op's input channels.
+        in_channels: usize,
+        /// The op's output channels.
+        out_channels: usize,
+        /// The op's kernel extent.
+        kernel: usize,
+    },
 }
 
 impl std::fmt::Display for BindError {
@@ -283,6 +295,18 @@ impl std::fmt::Display for BindError {
             BindError::Codes { path, error } => {
                 write!(f, "weight `{path}` cannot be bound: {error}")
             }
+            BindError::ConvShape {
+                path,
+                dims,
+                in_channels,
+                out_channels,
+                kernel,
+            } => write!(
+                f,
+                "conv weight `{path}` has dims {dims:?}, which fit no grouping of \
+                 {in_channels} input and {out_channels} output channels with a \
+                 {kernel}x{kernel} kernel"
+            ),
         }
     }
 }
@@ -335,10 +359,10 @@ impl CompiledModel {
                 integer: None,
             });
         }
-        let by_path: HashMap<&str, usize> = weights
+        let by_path: HashMap<&str, (usize, &[usize])> = weights
             .iter()
             .enumerate()
-            .map(|(i, w)| (w.packed.path.as_str(), i))
+            .map(|(i, w)| (w.packed.path.as_str(), (i, &w.packed.dims[..])))
             .collect();
         let plan = bind_ops(ops, &by_path, calibration)?;
         // Pack integer-grid weights into their GEMM form once, here —
@@ -487,7 +511,7 @@ impl CompiledModel {
 pub struct KernelPlanEntry {
     /// Stable weight path of the op.
     pub path: String,
-    /// Op kind: `conv2d`, `depthwise`, or `linear`.
+    /// Op kind: `conv2d` (dense, grouped or depthwise) or `linear`.
     pub op: &'static str,
     /// Kernel class: `integer` (the integer GEMM) or `float` (the exact
     /// float fallback).
@@ -502,7 +526,6 @@ fn weighted_ops(plan: &[BoundOp]) -> Vec<(&'static str, usize, ActGrid)> {
     for op in plan {
         match op {
             BoundOp::Conv { widx, grid, .. } => out.push(("conv2d", *widx, *grid)),
-            BoundOp::Depthwise { widx, grid, .. } => out.push(("depthwise", *widx, *grid)),
             BoundOp::Linear { widx, grid, .. } => out.push(("linear", *widx, *grid)),
             BoundOp::Residual {
                 main,
@@ -541,12 +564,28 @@ fn lookup_grid(
     }
 }
 
+/// Whether a conv weight of `dims` is `[out_c, in_c/G, kernel, kernel]`
+/// for a group count `G = in_c / dims[1]` that divides both channel
+/// counts.
+fn conv_fits(dims: &[usize], in_c: usize, out_c: usize, kernel: usize) -> bool {
+    let &[oc, group_in, kh, kw] = dims else {
+        return false;
+    };
+    let groups = in_c.checked_div(group_in).unwrap_or(0);
+    groups > 0
+        && groups * group_in == in_c
+        && oc == out_c
+        && out_c.is_multiple_of(groups)
+        && kh == kernel
+        && kw == kernel
+}
+
 fn bind_ops(
     ops: &[InferOp],
-    by_path: &HashMap<&str, usize>,
+    by_path: &HashMap<&str, (usize, &[usize])>,
     calibration: Option<&HashMap<String, ActGrid>>,
 ) -> Result<Vec<BoundOp>, BindError> {
-    let resolve = |path: &str| -> Result<usize, BindError> {
+    let resolve = |path: &str| -> Result<(usize, &[usize]), BindError> {
         by_path
             .get(path)
             .copied()
@@ -559,32 +598,35 @@ fn bind_ops(
         let bound = match op {
             InferOp::Conv2d {
                 weight,
+                in_channels,
+                out_channels,
                 kernel,
                 stride,
                 padding,
                 bias,
-                ..
-            } => BoundOp::Conv {
-                widx: resolve(weight)?,
-                spec: ConvSpec::new(*kernel, *stride, *padding),
-                bias: bias
-                    .as_ref()
-                    .map(|b| Tensor::from_vec(b.clone(), &[b.len()])),
-                grid: lookup_grid(weight, calibration)?,
-            },
-            InferOp::DepthwiseConv2d {
-                weight,
-                kernel,
-                stride,
-                padding,
-                ..
-            } => BoundOp::Depthwise {
-                widx: resolve(weight)?,
-                spec: ConvSpec::new(*kernel, *stride, *padding),
-                grid: lookup_grid(weight, calibration)?,
-            },
+            } => {
+                let (widx, dims) = resolve(weight)?;
+                if !conv_fits(dims, *in_channels, *out_channels, *kernel) {
+                    return Err(BindError::ConvShape {
+                        path: weight.clone(),
+                        dims: dims.to_vec(),
+                        in_channels: *in_channels,
+                        out_channels: *out_channels,
+                        kernel: *kernel,
+                    });
+                }
+                BoundOp::Conv {
+                    widx,
+                    in_channels: *in_channels,
+                    spec: ConvSpec::new(*kernel, *stride, *padding),
+                    bias: bias
+                        .as_ref()
+                        .map(|b| Tensor::from_vec(b.clone(), &[b.len()])),
+                    grid: lookup_grid(weight, calibration)?,
+                }
+            }
             InferOp::Linear { weight, bias, .. } => BoundOp::Linear {
-                widx: resolve(weight)?,
+                widx: resolve(weight)?.0,
                 bias: bias
                     .as_ref()
                     .map(|b| Tensor::from_vec(b.clone(), &[b.len()])),
@@ -667,7 +709,6 @@ fn profile_meta(
     let float = |kind: &'static str| Some((kind, PathChoice::Float, 0));
     match op {
         BoundOp::Conv { widx, grid, .. } => weighted("conv2d", widx, grid),
-        BoundOp::Depthwise { widx, grid, .. } => weighted("depthwise", widx, grid),
         BoundOp::Linear { widx, grid, .. } => weighted("linear", widx, grid),
         BoundOp::ChannelAffine { .. } => float("channel_affine"),
         BoundOp::Relu => float("relu"),
@@ -741,10 +782,21 @@ fn run_ops(
         x = match op {
             BoundOp::Conv {
                 widx,
+                in_channels,
                 spec,
                 bias,
                 grid,
             } => {
+                // The group count follows from the activation's channels,
+                // so they must be the ones `bind` checked the weight for.
+                if x.rank() != 4 || x.dims()[1] != *in_channels {
+                    return Err(ServeError::Plan {
+                        detail: format!(
+                            "conv with {in_channels} input channels applied to activations {:?}",
+                            x.dims()
+                        ),
+                    });
+                }
                 observe(&mut observer, *widx, &x);
                 let w = &weights[*widx];
                 let y = match PathChoice::of(grid, integer) {
@@ -756,16 +808,6 @@ fn run_ops(
                 match bias {
                     Some(b) => y.add_channel_bias(b),
                     None => y,
-                }
-            }
-            BoundOp::Depthwise { widx, spec, grid } => {
-                observe(&mut observer, *widx, &x);
-                let w = &weights[*widx];
-                match PathChoice::of(grid, integer) {
-                    PathChoice::Integer => on_codes(&x, grid, w, scratch, |q, iw| {
-                        depthwise_conv2d_integer(q, iw, *spec, scratch)
-                    })?,
-                    PathChoice::Float => depthwise_conv2d(&x, &w.float, *spec),
                 }
             }
             BoundOp::Linear { widx, bias, grid } => {

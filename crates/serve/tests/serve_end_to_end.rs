@@ -6,7 +6,7 @@
 
 use csq_core::prelude::*;
 use csq_data::{Dataset, SyntheticSpec};
-use csq_nn::models::{resnet_cifar, ModelConfig};
+use csq_nn::models::{mobilenet_v2, resnet_cifar, ModelConfig};
 use csq_nn::PersistError;
 use csq_serve::{
     calibrate, ArtifactError, Engine, EngineConfig, ModelArtifact, CSQM_FORMAT_VERSION,
@@ -191,6 +191,92 @@ fn forward_batch_is_bit_identical_at_1_and_4_threads_and_to_single_samples() {
         assert_eq!(entry.class, want, "{entry:?}");
     }
 
+    let forward = |threads: usize, x: &csq_tensor::Tensor| {
+        csq_tensor::par::with_threads(threads, || {
+            compiled.forward_batch(x, &scratch).expect("forward")
+        })
+    };
+    let want = forward(1, images);
+    assert_eq!(
+        forward(4, images).data(),
+        want.data(),
+        "batched forward differs between 1 and 4 threads"
+    );
+    for threads in [1usize, 4] {
+        for i in 0..n {
+            let one = forward(threads, &images.slice_axis0(i, i + 1));
+            assert_eq!(
+                one.data(),
+                &want.data()[i * k..(i + 1) * k],
+                "sample {i} alone differs from its batched row at {threads} threads"
+            );
+        }
+    }
+}
+
+/// A CSQ MobileNetV2, whose depthwise convs are grouped convs with a
+/// `[C, 1, 3, 3]` weight, served from a `.csqm` that went through disk:
+/// every grouped conv runs the integer GEMM, and `forward_batch` is
+/// bit-identical at 1 and 4 threads and to each sample served alone.
+///
+/// Not every conv after the stem is integer here. A block's output is
+/// its linear projection plus the skip, never rectified, so the next
+/// block's expand and shortcut convs and the head see signed values in
+/// calibration and keep the exact float path, as the stem does.
+#[test]
+fn grouped_conv_model_serves_bit_identically_from_disk() {
+    let spec = SyntheticSpec::cifar_like(0)
+        .with_samples(4, 2)
+        .with_classes(4)
+        .with_noise(0.5);
+    let data = Dataset::synthetic(&spec);
+    let mut model_cfg = ModelConfig::cifar_like(8, Some(4), 0);
+    model_cfg.num_classes = 4;
+    let mut model = mobilenet_v2(model_cfg, &mut csq_factory(8));
+    let mut cfg = CsqConfig::fast(3.0).with_epochs(2);
+    cfg.batch_size = 8;
+    CsqTrainer::new(cfg)
+        .train(&mut model, &data)
+        .expect("training");
+    let input_dims = data.test.images.dims()[1..].to_vec();
+    let calib = data.train.images.slice_axis0(0, 8);
+    let artifact =
+        ModelArtifact::export(&mut model, "mobilenet", &input_dims, 4, &calib).expect("export");
+    let path = temp_path("mobilenet.csqm");
+    artifact.save(&path).expect("save");
+    let loaded = ModelArtifact::load(&path).expect("load");
+    std::fs::remove_file(&path).ok();
+    assert_eq!(loaded, artifact);
+    let compiled = loaded.compile().expect("compile");
+
+    let images = &data.test.images;
+    let (n, k) = (images.dims()[0], compiled.num_classes());
+    let plan = compiled.kernel_plan(n);
+    assert_eq!(plan.len(), artifact.weights.len());
+    assert_eq!(
+        (plan[0].path.as_str(), plan[0].class),
+        ("0.weight", "float")
+    );
+    let mut grouped = 0;
+    for entry in &plan {
+        let w = artifact.weights.iter().find(|w| w.path == entry.path);
+        let grid = artifact
+            .calibration
+            .iter()
+            .find(|c| c.weight_path == entry.path);
+        let (w, grid) = (w.expect("packed weight"), grid.expect("calibration"));
+        let want = if grid.integer { "integer" } else { "float" };
+        assert_eq!(entry.class, want, "{entry:?}");
+        if w.dims[1..] == [1, 3, 3] {
+            grouped += 1;
+            assert_eq!((entry.op, entry.class), ("conv2d", "integer"), "{entry:?}");
+        }
+    }
+    assert_eq!(
+        grouped, 17,
+        "one depthwise conv per inverted residual block"
+    );
+    let scratch: ScratchPool<u8> = ScratchPool::new();
     let forward = |threads: usize, x: &csq_tensor::Tensor| {
         csq_tensor::par::with_threads(threads, || {
             compiled.forward_batch(x, &scratch).expect("forward")

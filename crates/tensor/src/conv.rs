@@ -3,11 +3,16 @@
 //! Layouts follow the usual deep-learning conventions:
 //!
 //! * activations: `[N, C, H, W]` (row-major, so `W` is innermost)
-//! * weights: `[OC, IC, KH, KW]`
+//! * weights: `[OC, IC/G, KH, KW]`
 //!
-//! Each sample is lowered to a `[IC·KH·KW, OH·OW]` column matrix, and
-//! all three products of a conv run on the packed-panel micro-kernel
-//! ([`crate::gemm`]):
+//! The group count `G` is read off the shapes, `IC / weight.dims()[1]`:
+//! output channels `g·OC/G ..` read only input channels `g·IC/G ..`.
+//! A dense conv (ResNet, VGG) is `G = 1`; a depthwise conv (MobileNetV2)
+//! is a `[C, 1, K, K]` weight over `C` channels, `G = C`.
+//!
+//! Each group of each sample is lowered to a `[(IC/G)·KH·KW, OH·OW]`
+//! column matrix, and all three products of a conv run on the
+//! packed-panel micro-kernel ([`crate::gemm`]), one group at a time:
 //!
 //! * forward: `Y = W · cols`, with `W` packed once per call;
 //! * weight gradient: each sample's `dY · colsᵀ`, the per-sample
@@ -17,8 +22,8 @@
 //!
 //! Gradients are therefore exact to floating-point rounding — there is
 //! no approximation anywhere, which is what the CSQ training pipeline
-//! requires. One layout map per call ([`Im2colMap`]) drives the three
-//! column-matrix walks: for each column-matrix row and output row it
+//! requires. One layout map per call drives the three column-matrix
+//! walks of every group: for each column-matrix row and output row it
 //! holds, as data, the run of output columns that land inside the input
 //! and where that run reads, so no walk tests a bound per element.
 //!
@@ -36,7 +41,7 @@
 //! `conv_dw` and one `conv_dx` row.
 
 use crate::gemm::{self, cols_len, rows_len};
-use crate::par::{self, ScratchPool, SharedSliceMut};
+use crate::par::{self, ScratchPool};
 use crate::Tensor;
 
 /// Geometry of a 2-D convolution: kernel size, stride and zero padding.
@@ -99,7 +104,9 @@ struct Geometry {
     oc: usize,
     oh: usize,
     ow: usize,
-    /// Column-matrix rows, `IC·KH·KW`.
+    /// Channel groups, `IC / weight.dims()[1]`.
+    groups: usize,
+    /// Column-matrix rows of one group, `(IC/G)·KH·KW`.
     kdim: usize,
 }
 
@@ -108,9 +115,18 @@ impl Geometry {
     /// forward and the backward share these checks and their messages.
     fn new(input: &Tensor, weight: &Tensor, spec: ConvSpec) -> Self {
         assert_eq!(input.rank(), 4, "conv2d input must be NCHW");
-        assert_eq!(weight.rank(), 4, "conv2d weight must be [OC, IC, KH, KW]");
+        assert_eq!(weight.rank(), 4, "conv2d weight must be [OC, IC/G, KH, KW]");
         let (x, wt) = (input.dims(), weight.dims());
-        assert_eq!(x[1], wt[1], "input/weight channel mismatch");
+        assert!(
+            wt[1] > 0 && x[1] > 0 && x[1].is_multiple_of(wt[1]),
+            "input/weight channel mismatch"
+        );
+        let groups = x[1] / wt[1];
+        assert!(
+            wt[0].is_multiple_of(groups),
+            "{} output channels do not split into {groups} groups",
+            wt[0]
+        );
         assert_eq!(
             wt[2], spec.kernel,
             "weight kernel height mismatch with spec"
@@ -124,13 +140,24 @@ impl Geometry {
             oc: wt[0],
             oh: spec.out_size(x[2]),
             ow: spec.out_size(x[3]),
-            kdim: x[1] * wt[2] * wt[3],
+            groups,
+            kdim: wt[1] * wt[2] * wt[3],
         }
     }
 
     /// Output positions per sample, `OH·OW`.
     fn spatial(&self) -> usize {
         self.oh * self.ow
+    }
+
+    /// Output channels per group, `OC/G`.
+    fn group_oc(&self) -> usize {
+        self.oc / self.groups
+    }
+
+    /// Input elements per group of one sample, `(IC/G)·H·W`.
+    fn group_in(&self) -> usize {
+        self.ic / self.groups * self.h * self.w
     }
 }
 
@@ -145,8 +172,9 @@ struct Run {
 }
 
 /// The im2col layout map of one conv call, as data: one [`Run`] per
-/// column-matrix row `kk = (c, kh, kw)` and output row, in that order.
-/// Built once per call and shared by every sample.
+/// column-matrix row `kk = (c, kh, kw)` of one group and output row, in
+/// that order. Built once per call and shared by every sample and
+/// group: a group's walk takes the sample from its first channel on.
 ///
 /// Run `i` covers column-matrix row `i / OH` and output row `i % OH`,
 /// so its stretch of a row-major `[kdim, OH·OW]` matrix starts at
@@ -169,7 +197,7 @@ impl Im2colMap {
             })
             .collect();
         let mut runs = Vec::with_capacity(g.kdim * g.oh);
-        for c in 0..g.ic {
+        for c in 0..g.ic / g.groups {
             for kh in 0..k {
                 for (kw, &(lo, hi)) in cols.iter().enumerate() {
                     for y in 0..g.oh {
@@ -234,14 +262,15 @@ impl Im2colMap {
 
 /// Forward 2-D convolution.
 ///
-/// `input` is `[N, IC, H, W]`, `weight` is `[OC, IC, KH, KW]`; returns
-/// `[N, OC, OH, OW]`. Allocates its column workspace per call; layers
-/// that run every step should use [`conv2d_with_scratch`].
+/// `input` is `[N, IC, H, W]`, `weight` is `[OC, IC/G, KH, KW]`;
+/// returns `[N, OC, OH, OW]`. Allocates its column workspace per call;
+/// layers that run every step should use [`conv2d_with_scratch`].
 ///
 /// # Panics
 ///
-/// Panics on rank or channel mismatches, or when the padded input is
-/// smaller than the kernel.
+/// Panics on rank mismatches, when `weight.dims()[1]` does not divide
+/// the input channels into `G` groups or `G` does not divide the output
+/// channels, or when the padded input is smaller than the kernel.
 pub fn conv2d(input: &Tensor, weight: &Tensor, spec: ConvSpec) -> Tensor {
     conv2d_with_scratch(input, weight, spec, &ScratchPool::new())
 }
@@ -262,22 +291,31 @@ pub fn conv2d_with_scratch(
     scratch: &ScratchPool,
 ) -> Tensor {
     let g = Geometry::new(input, weight, spec);
-    let (oc, kdim, ns) = (g.oc, g.kdim, g.spatial());
+    let (oc, ocg, kdim, ns) = (g.oc, g.group_oc(), g.kdim, g.spatial());
     let map = Im2colMap::new(&g, spec);
-    let sample_in = g.ic * g.h * g.w;
+    let (sample_in, group_in) = (g.ic * g.h * g.w, g.group_in());
     let t0 = gemm::prof_start();
-    let mut wp = scratch.take(rows_len(oc, kdim));
-    gemm::pack_rows(weight.data(), kdim, 1, oc, kdim, &mut wp);
+    // Each group's OC/G weight rows, packed once per call.
+    let wlen = rows_len(ocg, kdim);
+    let mut wp = scratch.take(g.groups * wlen);
+    for grp in 0..g.groups {
+        let (rows, at) = (&weight.data()[grp * ocg * kdim..], grp * wlen);
+        gemm::pack_rows(rows, kdim, 1, ocg, kdim, &mut wp[at..at + wlen]);
+    }
     let mut out = vec![0.0f32; g.n * oc * ns];
     // One task per sample; each writes its own [oc, ns] block. The
-    // inner GEMM stays serial — the sample fan-out already saturates.
+    // inner GEMMs stay serial — the sample fan-out already saturates.
     par::par_chunks_mut(&mut out, oc * ns, |ni, _start, out_s| {
         let sample = &input.data()[ni * sample_in..(ni + 1) * sample_in];
         let mut cols = scratch.take(kdim * ns);
-        map.gather(sample, &mut cols);
         let mut bp = scratch.take(cols_len(ns, kdim));
-        gemm::pack_cols(&cols, ns, 1, kdim, ns, &mut bp);
-        gemm::gemm_strips(&wp, &bp, oc, kdim, ns, out_s);
+        for grp in 0..g.groups {
+            map.gather(&sample[grp * group_in..], &mut cols);
+            gemm::pack_cols(&cols, ns, 1, kdim, ns, &mut bp);
+            let (w, y) = (grp * wlen, grp * ocg * ns);
+            let y = &mut out_s[y..y + ocg * ns];
+            gemm::gemm_strips(&wp[w..w + wlen], &bp, ocg, kdim, ns, y);
+        }
         scratch.give(cols);
         scratch.give(bp);
     });
@@ -323,31 +361,34 @@ pub fn conv2d_backward_with_scratch(
     scratch: &ScratchPool,
 ) -> (Tensor, Tensor) {
     let g = Geometry::new(input, weight, spec);
-    let (oc, kdim, ns) = (g.oc, g.kdim, g.spatial());
+    let (oc, ocg, kdim, ns) = (g.oc, g.group_oc(), g.kdim, g.spatial());
     assert_eq!(
         grad_output.dims(),
         &[g.n, oc, g.oh, g.ow],
         "grad_output shape mismatch"
     );
     let map = Im2colMap::new(&g, spec);
-    let sample_in = g.ic * g.h * g.w;
+    let (sample_in, group_in) = (g.ic * g.h * g.w, g.group_in());
     let sample = |ni: usize| &input.data()[ni * sample_in..(ni + 1) * sample_in];
     let dy = |ni: usize| &grad_output.data()[ni * oc * ns..(ni + 1) * oc * ns];
     let dims = [g.n, oc, kdim, ns];
     let bytes = 4 * (g.n * sample_in + oc * kdim + g.n * oc * ns) as u64;
 
-    // dW: each sample's dY · colsᵀ.
+    // dW: each sample's dY · colsᵀ, group by group.
     let t0 = gemm::prof_start();
     let partials = par::par_map_collect(g.n, |ni| {
         let mut cols = scratch.take(kdim * ns);
-        map.gather(sample(ni), &mut cols);
         let mut bp = scratch.take(cols_len(kdim, ns));
-        gemm::pack_cols(&cols, 1, ns, ns, kdim, &mut bp);
-        scratch.give(cols);
-        let mut dyp = scratch.take(rows_len(oc, ns));
-        gemm::pack_rows(dy(ni), ns, 1, oc, ns, &mut dyp);
+        let mut dyp = scratch.take(rows_len(ocg, ns));
         let mut gw = scratch.take(oc * kdim);
-        gemm::gemm_strips(&dyp, &bp, oc, ns, kdim, &mut gw);
+        for grp in 0..g.groups {
+            map.gather(&sample(ni)[grp * group_in..], &mut cols);
+            gemm::pack_cols(&cols, 1, ns, ns, kdim, &mut bp);
+            gemm::pack_rows(&dy(ni)[grp * ocg * ns..], ns, 1, ocg, ns, &mut dyp);
+            let at = grp * ocg * kdim;
+            gemm::gemm_strips(&dyp, &bp, ocg, ns, kdim, &mut gw[at..at + ocg * kdim]);
+        }
+        scratch.give(cols);
         scratch.give(bp);
         scratch.give(dyp);
         gw
@@ -362,17 +403,24 @@ pub fn conv2d_backward_with_scratch(
     }
     gemm::prof_record("conv_dw", &dims, bytes, t0);
 
-    // dX: the column gradient Wᵀ · dY, scattered back by col2im.
+    // dX: each group's column gradient Wᵀ · dY, scattered back by col2im.
     let t0 = gemm::prof_start();
-    let mut wt = scratch.take(rows_len(kdim, oc));
-    gemm::pack_rows(weight.data(), 1, kdim, kdim, oc, &mut wt);
+    let wtlen = rows_len(kdim, ocg);
+    let mut wt = scratch.take(g.groups * wtlen);
+    for grp in 0..g.groups {
+        let (rows, at) = (&weight.data()[grp * ocg * kdim..], grp * wtlen);
+        gemm::pack_rows(rows, 1, kdim, kdim, ocg, &mut wt[at..at + wtlen]);
+    }
     let mut grad_input = Tensor::zeros(input.dims());
     par::par_chunks_mut(grad_input.data_mut(), sample_in, |ni, _start, gi| {
-        let mut dyp = scratch.take(cols_len(ns, oc));
-        gemm::pack_cols(dy(ni), ns, 1, oc, ns, &mut dyp);
+        let mut dyp = scratch.take(cols_len(ns, ocg));
         let mut dcols = scratch.take(kdim * ns);
-        gemm::gemm_strips(&wt, &dyp, kdim, oc, ns, &mut dcols);
-        map.scatter_add(&dcols, gi);
+        for grp in 0..g.groups {
+            gemm::pack_cols(&dy(ni)[grp * ocg * ns..], ns, 1, ocg, ns, &mut dyp);
+            let w = &wt[grp * wtlen..(grp + 1) * wtlen];
+            gemm::gemm_strips(w, &dyp, kdim, ocg, ns, &mut dcols);
+            map.scatter_add(&dcols, &mut gi[grp * group_in..(grp + 1) * group_in]);
+        }
         scratch.give(dyp);
         scratch.give(dcols);
     });
@@ -390,18 +438,20 @@ pub fn conv2d_backward_with_scratch(
 /// Panics on the same conditions as [`conv2d`].
 pub fn conv2d_naive(input: &Tensor, weight: &Tensor, spec: ConvSpec) -> Tensor {
     let g = Geometry::new(input, weight, spec);
-    let k = spec.kernel;
+    let (k, icg, ocg) = (spec.kernel, g.ic / g.groups, g.group_oc());
     let mut out = Tensor::zeros(&[g.n, g.oc, g.oh, g.ow]);
     for ni in 0..g.n {
         for oci in 0..g.oc {
+            // The first input channel of output channel `oci`'s group.
+            let c0 = oci / ocg * icg;
             for oi in 0..g.oh {
                 for oj in 0..g.ow {
                     let mut acc = 0.0f32;
-                    for ici in 0..g.ic {
+                    for ici in 0..icg {
                         for ki in 0..k {
                             for kj in 0..k {
                                 if let Some((ii, jj)) = tap(&g, spec, oi, oj, ki, kj) {
-                                    acc += input.at(&[ni, ici, ii, jj])
+                                    acc += input.at(&[ni, c0 + ici, ii, jj])
                                         * weight.at(&[oci, ici, ki, kj]);
                                 }
                             }
@@ -421,9 +471,9 @@ pub fn conv2d_naive(input: &Tensor, weight: &Tensor, spec: ConvSpec) -> Tensor {
 /// * each sample's weight-gradient partial sums output positions
 ///   `(oh, ow)` in ascending order, and the partials fold in sample
 ///   order from `0.0`;
-/// * each column-gradient entry sums output channels in ascending
-///   order, then scatters into the input gradient in `(c, kh, kw)`,
-///   `oh`, `ow` order.
+/// * each column-gradient entry sums its group's output channels in
+///   ascending order, then scatters into the input gradient in
+///   `(c, kh, kw)`, `oh`, `ow` order.
 ///
 /// Exposed for tests.
 ///
@@ -442,13 +492,14 @@ pub fn conv2d_backward_naive(
         &[g.n, g.oc, g.oh, g.ow],
         "grad_output shape mismatch"
     );
-    let k = spec.kernel;
+    let (k, icg, ocg) = (spec.kernel, g.ic / g.groups, g.group_oc());
     let mut grad_input = Tensor::zeros(input.dims());
     let mut grad_w = Tensor::zeros(weight.dims());
     for ni in 0..g.n {
         let mut partial = Tensor::zeros(weight.dims());
         for o in 0..g.oc {
-            for c in 0..g.ic {
+            let c0 = o / ocg * icg;
+            for c in 0..icg {
                 for ki in 0..k {
                     for kj in 0..k {
                         let mut acc = 0.0f32;
@@ -456,7 +507,7 @@ pub fn conv2d_backward_naive(
                             for oj in 0..g.ow {
                                 if let Some((ii, jj)) = tap(&g, spec, oi, oj, ki, kj) {
                                     acc += grad_output.at(&[ni, o, oi, oj])
-                                        * input.at(&[ni, c, ii, jj]);
+                                        * input.at(&[ni, c0 + c, ii, jj]);
                                 }
                             }
                         }
@@ -469,14 +520,16 @@ pub fn conv2d_backward_naive(
             *acc += v;
         }
         for c in 0..g.ic {
+            // Channel `c` is channel `c % icg` of group `c / icg`.
+            let (group, cl) = (c / icg * ocg..(c / icg + 1) * ocg, c % icg);
             for ki in 0..k {
                 for kj in 0..k {
                     for oi in 0..g.oh {
                         for oj in 0..g.ow {
                             let mut acc = 0.0f32;
-                            for o in 0..g.oc {
+                            for o in group.clone() {
                                 acc +=
-                                    weight.at(&[o, c, ki, kj]) * grad_output.at(&[ni, o, oi, oj]);
+                                    weight.at(&[o, cl, ki, kj]) * grad_output.at(&[ni, o, oi, oj]);
                             }
                             if let Some((ii, jj)) = tap(&g, spec, oi, oj, ki, kj) {
                                 let at = [ni, c, ii, jj];
@@ -556,13 +609,20 @@ mod tests {
 
     /// The backward pass must be the exact adjoint of the forward map:
     /// <conv(x, w), gy> == <x, grad_x> + ... checked via directional
-    /// finite differences on both arguments.
+    /// finite differences on both arguments, for a dense weight and a
+    /// grouped one (two groups of one input and two output channels).
     #[test]
     fn conv_backward_matches_finite_difference() {
+        for wdims in [[2, 2, 3, 3], [4, 1, 3, 3]] {
+            fd_check(&wdims);
+        }
+    }
+
+    fn fd_check(wdims: &[usize]) {
         let x = rand_t(&[1, 2, 5, 5], 7);
-        let w = rand_t(&[2, 2, 3, 3], 8);
+        let w = rand_t(wdims, 8);
         let spec = ConvSpec::new(3, 1, 1);
-        let gy = rand_t(&[1, 2, 5, 5], 9);
+        let gy = rand_t(&[1, wdims[0], 5, 5], 9);
         let (gx, gw) = conv2d_backward(&x, &w, &gy, spec);
 
         let loss = |x: &Tensor, w: &Tensor| conv2d(x, w, spec).dot(&gy);
@@ -654,7 +714,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "conv2d weight must be [OC, IC, KH, KW]")]
+    #[should_panic(expected = "conv2d weight must be [OC, IC/G, KH, KW]")]
     fn backward_rejects_a_non_rank_4_weight() {
         let gy = Tensor::zeros(&[1, 2, 4, 4]);
         let w = Tensor::zeros(&[2, 9]);
@@ -672,6 +732,12 @@ mod tests {
         // The weight holds 9 elements per output channel, as a 1-channel
         // 3×3 weight would, but in a [OC, 9, 1, 1] layout.
         backward(&[1, 1, 4, 4], &[2, 9, 1, 1], ConvSpec::new(3, 1, 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "3 output channels do not split into 2 groups")]
+    fn backward_rejects_output_channels_that_do_not_split_into_groups() {
+        backward(&[1, 4, 4, 4], &[3, 2, 3, 3], ConvSpec::new(3, 1, 1));
     }
 
     #[test]
@@ -712,245 +778,6 @@ mod tests {
         assert_eq!(
             rows(),
             [("conv_dw".to_string(), 1), ("conv_dx".to_string(), 1)]
-        );
-    }
-}
-
-/// Forward depthwise 2-D convolution: each input channel is convolved
-/// with its own single `[KH, KW]` filter (the grouped convolution with
-/// `groups == channels` that MobileNet-family models are built from).
-///
-/// `input` is `[N, C, H, W]`, `weight` is `[C, 1, KH, KW]`; returns
-/// `[N, C, OH, OW]`. Parallel over `(sample, channel)` pairs, each of
-/// which owns a disjoint output plane.
-///
-/// # Panics
-///
-/// Panics on rank or channel mismatches.
-pub fn depthwise_conv2d(input: &Tensor, weight: &Tensor, spec: ConvSpec) -> Tensor {
-    assert_eq!(input.rank(), 4, "depthwise input must be NCHW");
-    assert_eq!(weight.rank(), 4, "depthwise weight must be [C, 1, KH, KW]");
-    let (n, c, h, w) = (
-        input.dims()[0],
-        input.dims()[1],
-        input.dims()[2],
-        input.dims()[3],
-    );
-    assert_eq!(weight.dims()[0], c, "depthwise channel mismatch");
-    assert_eq!(
-        weight.dims()[1],
-        1,
-        "depthwise weight must have one input channel"
-    );
-    assert_eq!(weight.dims()[2], spec.kernel, "kernel mismatch");
-    assert_eq!(weight.dims()[3], spec.kernel, "kernel mismatch");
-    let (oh, ow) = (spec.out_size(h), spec.out_size(w));
-    let k = spec.kernel;
-    let in_data = input.data();
-    let w_data = weight.data();
-    let mut out = Tensor::zeros(&[n, c, oh, ow]);
-    par::par_chunks_mut(out.data_mut(), oh * ow, |t, _start, out_s| {
-        let (ni, ci) = (t / c, t % c);
-        let chan = &in_data[(ni * c + ci) * h * w..(ni * c + ci + 1) * h * w];
-        let filt = &w_data[ci * k * k..(ci + 1) * k * k];
-        let mut oidx = 0usize;
-        for oi in 0..oh {
-            for oj in 0..ow {
-                let mut acc = 0.0f32;
-                for ki in 0..k {
-                    let ii = (oi * spec.stride + ki) as isize - spec.padding as isize;
-                    if ii < 0 || ii >= h as isize {
-                        continue;
-                    }
-                    for kj in 0..k {
-                        let jj = (oj * spec.stride + kj) as isize - spec.padding as isize;
-                        if jj >= 0 && jj < w as isize {
-                            acc += chan[ii as usize * w + jj as usize] * filt[ki * k + kj];
-                        }
-                    }
-                }
-                out_s[oidx] = acc;
-                oidx += 1;
-            }
-        }
-    });
-    out
-}
-
-/// Gradients of [`depthwise_conv2d`] with respect to input and weight,
-/// returned as `(grad_input, grad_weight)`.
-///
-/// Parallel over channels: channel `ci` exclusively owns its filter
-/// gradient and the `(·, ci)` planes of the input gradient, and its
-/// per-element accumulation order (samples ascending, then output
-/// positions) matches the historical serial loop — bit-identical at any
-/// thread count.
-///
-/// # Panics
-///
-/// Panics on shape mismatches.
-pub fn depthwise_conv2d_backward(
-    input: &Tensor,
-    weight: &Tensor,
-    grad_output: &Tensor,
-    spec: ConvSpec,
-) -> (Tensor, Tensor) {
-    let (n, c, h, w) = (
-        input.dims()[0],
-        input.dims()[1],
-        input.dims()[2],
-        input.dims()[3],
-    );
-    let (oh, ow) = (spec.out_size(h), spec.out_size(w));
-    assert_eq!(
-        grad_output.dims(),
-        &[n, c, oh, ow],
-        "grad_output shape mismatch"
-    );
-    let k = spec.kernel;
-    let in_data = input.data();
-    let w_data = weight.data();
-    let go_data = grad_output.data();
-    let mut grad_input = Tensor::zeros(input.dims());
-    let mut grad_weight = Tensor::zeros(weight.dims());
-    let gi = SharedSliceMut::new(grad_input.data_mut());
-    let gw = SharedSliceMut::new(grad_weight.data_mut());
-    par::for_each_task(c, |ci| {
-        let filt = &w_data[ci * k * k..(ci + 1) * k * k];
-        // SAFETY: channel `ci` exclusively owns its filter-gradient range.
-        let gw_s = unsafe { gw.slice_mut(ci * k * k, k * k) };
-        for ni in 0..n {
-            let chan_base = (ni * c + ci) * h * w;
-            let chan_in = &in_data[chan_base..chan_base + h * w];
-            // SAFETY: the (ni, ci) plane belongs to this channel task only.
-            let gi_s = unsafe { gi.slice_mut(chan_base, h * w) };
-            let mut oidx = (ni * c + ci) * oh * ow;
-            for oi in 0..oh {
-                for oj in 0..ow {
-                    let g = go_data[oidx];
-                    oidx += 1;
-                    if g == 0.0 {
-                        continue;
-                    }
-                    for ki in 0..k {
-                        let ii = (oi * spec.stride + ki) as isize - spec.padding as isize;
-                        if ii < 0 || ii >= h as isize {
-                            continue;
-                        }
-                        for kj in 0..k {
-                            let jj = (oj * spec.stride + kj) as isize - spec.padding as isize;
-                            if jj < 0 || jj >= w as isize {
-                                continue;
-                            }
-                            let at = ii as usize * w + jj as usize;
-                            gi_s[at] += g * filt[ki * k + kj];
-                            gw_s[ki * k + kj] += g * chan_in[at];
-                        }
-                    }
-                }
-            }
-        }
-    });
-    (grad_input, grad_weight)
-}
-
-#[cfg(test)]
-mod depthwise_tests {
-    use super::*;
-    use crate::init;
-    use rand::SeedableRng;
-    use rand_chacha::ChaCha8Rng;
-
-    fn rand_t(dims: &[usize], seed: u64) -> Tensor {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        init::uniform(dims, -1.0, 1.0, &mut rng)
-    }
-
-    /// Depthwise conv equals per-channel 1-channel dense convs.
-    #[test]
-    fn matches_per_channel_dense_conv() {
-        let x = rand_t(&[2, 3, 6, 6], 0);
-        let w = rand_t(&[3, 1, 3, 3], 1);
-        let spec = ConvSpec::new(3, 1, 1);
-        let y = depthwise_conv2d(&x, &w, spec);
-        for ci in 0..3 {
-            // Slice channel ci of x into a [2,1,6,6] tensor.
-            let mut xc = Tensor::zeros(&[2, 1, 6, 6]);
-            for ni in 0..2 {
-                for i in 0..36 {
-                    xc.data_mut()[ni * 36 + i] = x.data()[(ni * 3 + ci) * 36 + i];
-                }
-            }
-            let wc = Tensor::from_vec(w.data()[ci * 9..(ci + 1) * 9].to_vec(), &[1, 1, 3, 3]);
-            let yc = conv2d(&xc, &wc, spec);
-            for ni in 0..2 {
-                for i in 0..36 {
-                    let got = y.data()[(ni * 3 + ci) * 36 + i];
-                    let want = yc.data()[ni * 36 + i];
-                    assert!((got - want).abs() < 1e-4, "ch {ci}: {got} vs {want}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn strided_output_shape() {
-        let x = rand_t(&[1, 4, 8, 8], 2);
-        let w = rand_t(&[4, 1, 3, 3], 3);
-        let y = depthwise_conv2d(&x, &w, ConvSpec::new(3, 2, 1));
-        assert_eq!(y.dims(), &[1, 4, 4, 4]);
-    }
-
-    #[test]
-    fn backward_is_exact_adjoint() {
-        let x = rand_t(&[1, 2, 5, 5], 4);
-        let w = rand_t(&[2, 1, 3, 3], 5);
-        let spec = ConvSpec::new(3, 2, 1);
-        let y = depthwise_conv2d(&x, &w, spec);
-        let gy = rand_t(y.dims(), 6);
-        let (gx, gw) = depthwise_conv2d_backward(&x, &w, &gy, spec);
-        // <Ax, y> == <x, A'y> in both arguments.
-        assert!((y.dot(&gy) - x.dot(&gx)).abs() < 1e-3);
-        // Weight gradient via finite differences along a direction.
-        let dw = rand_t(w.dims(), 7);
-        let eps = 1e-2f32;
-        let mut wp = w.clone();
-        wp.axpy(eps, &dw);
-        let mut wm = w.clone();
-        wm.axpy(-eps, &dw);
-        let num = (depthwise_conv2d(&x, &wp, spec).dot(&gy)
-            - depthwise_conv2d(&x, &wm, spec).dot(&gy))
-            / (2.0 * eps);
-        assert!((num - gw.dot(&dw)).abs() < 2e-2 * (1.0 + num.abs()));
-    }
-
-    /// Depthwise forward/backward are bit-identical at 1 and 4 threads.
-    #[test]
-    fn parallel_matches_serial_bitexact() {
-        let x = rand_t(&[3, 5, 7, 7], 8);
-        let w = rand_t(&[5, 1, 3, 3], 9);
-        let spec = ConvSpec::new(3, 1, 1);
-        let y = depthwise_conv2d(&x, &w, spec);
-        let gy = rand_t(y.dims(), 10);
-        let run = || {
-            let y = depthwise_conv2d(&x, &w, spec);
-            let (gx, gw) = depthwise_conv2d_backward(&x, &w, &gy, spec);
-            (y, gx, gw)
-        };
-        let serial = par::with_threads(1, run);
-        let parallel = par::with_threads(4, run);
-        assert_eq!(serial.0.data(), parallel.0.data());
-        assert_eq!(serial.1.data(), parallel.1.data());
-        assert_eq!(serial.2.data(), parallel.2.data());
-    }
-
-    #[test]
-    #[should_panic(expected = "depthwise channel mismatch")]
-    fn channel_mismatch_panics() {
-        depthwise_conv2d(
-            &Tensor::zeros(&[1, 3, 4, 4]),
-            &Tensor::zeros(&[2, 1, 3, 3]),
-            ConvSpec::new(3, 1, 1),
         );
     }
 }

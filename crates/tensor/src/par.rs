@@ -21,10 +21,10 @@
 //!    were computed by 1 thread or 64.
 //!
 //! The pool size comes from the `CSQ_THREADS` environment variable
-//! (default: the machine's available parallelism), can be set globally
-//! with [`set_global_threads`], and can be overridden for the current
-//! thread with [`with_threads`] — which is how the determinism tests run
-//! the same training twice at different widths inside one process.
+//! (default: the machine's available parallelism) and can be overridden
+//! for the current thread with [`with_threads`] — which is how the
+//! determinism tests run the same training twice at different widths
+//! inside one process.
 //!
 //! No new dependencies: workers are `std::thread::scope` threads spawned
 //! per parallel region. Region granularity is controlled by sizing tasks
@@ -63,9 +63,9 @@ fn resolve_from_env() -> usize {
 /// will use.
 ///
 /// Resolution order: a [`with_threads`] override on the current thread,
-/// then the global count ([`set_global_threads`] or, on first use, the
-/// `CSQ_THREADS` environment variable, defaulting to the machine's
-/// available parallelism). Always at least 1.
+/// then the global count, resolved on first use from the `CSQ_THREADS`
+/// environment variable (default: the machine's available
+/// parallelism). Always at least 1.
 pub fn current_threads() -> usize {
     let over = THREAD_OVERRIDE.with(|c| c.get());
     if over != 0 {
@@ -79,12 +79,6 @@ pub fn current_threads() -> usize {
     // Racing first calls may both resolve; they resolve identically.
     GLOBAL_THREADS.store(resolved, Ordering::Relaxed);
     resolved
-}
-
-/// Sets the process-wide thread count (clamped to at least 1). Results
-/// do not depend on this value — only wall-clock time does.
-pub fn set_global_threads(n: usize) {
-    GLOBAL_THREADS.store(n.max(1), Ordering::Relaxed);
 }
 
 /// Runs `f` with the thread count overridden to `n` on the current

@@ -73,23 +73,54 @@ fn gemm_pair(rng: &mut ChaCha8Rng) -> (Tensor, Tensor) {
     )
 }
 
+/// The three group counts a conv draws from: dense (`G = 1`), a
+/// proper divisor of the input channels (`1 < G < IC`) and depthwise
+/// (`G = IC`).
+#[derive(Clone, Copy)]
+enum Grouping {
+    Dense,
+    Divisor,
+    Depthwise,
+}
+
+impl Grouping {
+    fn draw(rng: &mut ChaCha8Rng) -> Grouping {
+        [Grouping::Dense, Grouping::Divisor, Grouping::Depthwise][rng.gen_range(0..3)]
+    }
+
+    /// `(G, IC, OC)`, with at most `max_icg` input and `max_ocg` output
+    /// channels per dense group.
+    fn channels(self, rng: &mut ChaCha8Rng, max_icg: usize, max_ocg: usize) -> [usize; 3] {
+        let (groups, icg, ocg) = match self {
+            Grouping::Dense => (1, rng.gen_range(1..=max_icg), rng.gen_range(1..=max_ocg)),
+            Grouping::Divisor => (
+                rng.gen_range(2..4),
+                rng.gen_range(2..4),
+                rng.gen_range(1..4),
+            ),
+            Grouping::Depthwise => (rng.gen_range(2..7), 1, rng.gen_range(1..3)),
+        };
+        [groups, groups * icg, groups * ocg]
+    }
+}
+
 /// Conv inputs small enough for the naive reference, with kernel,
 /// stride and padding varied so output extents hit 1 and non-multiples
-/// of the micro-kernel's register block.
-fn conv_case(rng: &mut ChaCha8Rng) -> (Tensor, Tensor, ConvSpec) {
+/// of the micro-kernel's register block, and a weight of `IC/G` input
+/// channels for the drawn grouping.
+fn conv_case(rng: &mut ChaCha8Rng, grouping: Grouping) -> (Tensor, Tensor, ConvSpec) {
     let n = rng.gen_range(1usize..3);
-    let ic = rng.gen_range(1usize..4);
+    let [groups, ic, oc] = grouping.channels(rng, 3, 4);
     let h = rng.gen_range(3usize..10);
     let w = rng.gen_range(3usize..10);
-    let oc = rng.gen_range(1usize..5);
     let kernel = rng.gen_range(1usize..4).min(h.min(w));
     let stride = rng.gen_range(1usize..3);
     let padding = rng.gen_range(0usize..2);
     (
         Tensor::from_vec(values(rng, n * ic * h * w, 2.0), &[n, ic, h, w]),
         Tensor::from_vec(
-            values(rng, oc * ic * kernel * kernel, 2.0),
-            &[oc, ic, kernel, kernel],
+            values(rng, oc * ic / groups * kernel * kernel, 2.0),
+            &[oc, ic / groups, kernel, kernel],
         ),
         ConvSpec::new(kernel, stride, padding),
     )
@@ -139,20 +170,25 @@ fn transposed_products_bit_identical() {
 }
 
 /// The conv routine equals `conv2d_naive` bit-for-bit at 1 and 4
-/// threads.
+/// threads, dense, grouped and depthwise (the sweep checks that it met
+/// each).
 #[test]
 fn conv_routines_bit_identical() {
-    for_all(48, 0, |rng| {
-        let (x, w, spec) = conv_case(rng);
+    let mut seen = [false; 3];
+    for_all(60, 0, |rng| {
+        let grouping = Grouping::draw(rng);
+        seen[grouping as usize] = true;
+        let (x, w, spec) = conv_case(rng, grouping);
         let want = conv2d_naive(&x, &w, spec);
         let pool = ScratchPool::new();
         for threads in [1usize, 4] {
             par::with_threads(threads, || {
                 let got = conv2d_with_scratch(&x, &w, spec, &pool);
-                assert_eq!(got.data(), want.data());
+                assert_eq!(bits(&got), bits(&want), "{threads} threads");
             });
         }
     });
+    assert!(seen.iter().all(|&s| s), "sweep missed a grouping: {seen:?}");
 }
 
 fn bits(t: &Tensor) -> Vec<u32> {
@@ -161,26 +197,28 @@ fn bits(t: &Tensor) -> Vec<u32> {
 
 /// Both conv gradients equal `conv2d_backward_naive` bit for bit at 1
 /// and 4 threads, over 1×1 and 3×3 kernels, strides 1–2, padding 0–1,
-/// and `OC`, `IC·K²` and `OH·OW` off the micro-kernel's `MR × NR`
-/// register block (the sweep checks that it met each of these).
+/// dense, grouped and depthwise weights, and per-group `OC/G`,
+/// `(IC/G)·K²` and `OH·OW` off the micro-kernel's `MR × NR` register
+/// block (the sweep checks that it met each of these).
 #[test]
 fn conv_backward_bit_identical() {
-    let mut seen = [false; 9];
-    for_all(48, 100, |rng| {
+    let mut seen = [false; 12];
+    for_all(60, 100, |rng| {
+        let grouping = Grouping::draw(rng);
         let n = rng.gen_range(1usize..4);
-        let ic = rng.gen_range(1usize..6);
-        let oc = rng.gen_range(1usize..11);
+        let [groups, ic, oc] = grouping.channels(rng, 5, 10);
         let kernel = [1usize, 3][rng.gen_range(0..2)];
         let spec = ConvSpec::new(kernel, rng.gen_range(1..3), rng.gen_range(0..2));
         let (h, w) = (rng.gen_range(3usize..12), rng.gen_range(3usize..12));
         let x = Tensor::from_vec(values(rng, n * ic * h * w, 2.0), &[n, ic, h, w]);
+        let (ocg, kdim) = (oc / groups, ic / groups * kernel * kernel);
         let wt = Tensor::from_vec(
-            values(rng, oc * ic * kernel * kernel, 2.0),
-            &[oc, ic, kernel, kernel],
+            values(rng, oc * kdim, 2.0),
+            &[oc, ic / groups, kernel, kernel],
         );
         let (oh, ow) = (spec.out_size(h), spec.out_size(w));
         let gy = Tensor::from_vec(values(rng, n * oc * oh * ow, 2.0), &[n, oc, oh, ow]);
-        let (kdim, ns) = (ic * kernel * kernel, oh * ow);
+        let ns = oh * ow;
         for (flag, hit) in seen.iter_mut().zip([
             kernel == 1,
             kernel == 3,
@@ -188,9 +226,12 @@ fn conv_backward_bit_identical() {
             spec.stride == 2,
             spec.padding == 0,
             spec.padding == 1,
-            oc % MR != 0 && oc % NR != 0,
+            ocg % MR != 0 && ocg % NR != 0,
             kdim % MR != 0 && kdim % NR != 0,
             ns % MR != 0 && ns % NR != 0,
+            matches!(grouping, Grouping::Dense),
+            matches!(grouping, Grouping::Divisor),
+            matches!(grouping, Grouping::Depthwise),
         ]) {
             *flag |= hit;
         }

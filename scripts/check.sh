@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Repo-wide gate: formatting, lints (warnings are errors), release build
-# and the full test suite. Run before pushing; CI runs the same steps.
+# Repo-wide gate: formatting, lints and rustdoc (warnings are errors),
+# release build and the full test suite. Run before pushing; CI runs the
+# same steps.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -9,6 +10,9 @@ cargo fmt --all -- --check
 
 echo "==> cargo clippy (-D warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "==> cargo doc (-D warnings: no broken or ambiguous intra-doc links)"
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
 
 echo "==> cargo build --release"
 cargo build --release
