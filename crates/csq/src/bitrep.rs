@@ -351,6 +351,7 @@ impl WeightSource for BitQuantizer {
             // SAFETY: element range e0..e0+len belongs to task t alone,
             // in the flat buffers and in every bit plane.
             let bs = unsafe { bs_sh.slice_mut(e0, len) };
+            // SAFETY: the same range of the weight buffer, task t's alone.
             let ws = unsafe { w_sh.slice_mut(e0, len) };
             bs.fill(0.0);
             for (b, &gb) in gb_ro.iter().enumerate() {
@@ -359,6 +360,7 @@ impl WeightSource for BitQuantizer {
                 let mn = &mn_all[base..base + len];
                 // SAFETY: same disjoint element range, plane b.
                 let gpb = unsafe { gp_sh.slice_mut(base, len) };
+                // SAFETY: the same range of the negative-gate planes.
                 let gnb = unsafe { gn_sh.slice_mut(base, len) };
                 let pow = (1u32 << b) as f32 * gb;
                 // The hard/soft gate branch is hoisted out of the
@@ -446,6 +448,7 @@ impl WeightSource for BitQuantizer {
                 // SAFETY: element range e0..e0+len of plane b belongs to
                 // task t alone.
                 let grad_pb = unsafe { grad_p_sh.slice_mut(base, len) };
+                // SAFETY: the same range of the negative-logit gradient.
                 let grad_nb = unsafe { grad_n_sh.slice_mut(base, len) };
                 let mut mask_acc = 0.0f32;
                 for i in 0..len {

@@ -28,10 +28,28 @@
 //! `acc as f32 * scale` is the one conversion to float. Pruned filters
 //! (all-zero rows) are skipped and leave exact zeros.
 //!
-//! Output planes are split into tasks through [`csq_tensor::par`] by
-//! shape only, and each output is one exact integer reduction, so results
-//! are bit-identical at any thread count and a sample's outputs never
-//! depend on which other samples share the batch.
+//! The GEMM runs a register tile of 4 weight rows × 2 patch rows, so
+//! each code it loads feeds 2 or 4 products. Output planes are split
+//! into tasks through [`csq_tensor::par`] by shape only, in whole blocks
+//! of 4 weight rows, and each output is one exact integer reduction, so
+//! results are bit-identical at any thread count and a sample's outputs
+//! never depend on which other samples share the batch.
+//!
+//! # Two bodies, one result
+//!
+//! The tile and the request path's two rounding passes (code emission
+//! in [`QuantizedActivations::quantize_with_step_into`] and
+//! [`uniform_act_quant`]) each have a portable body and an AVX2 body,
+//! all chosen together by one `is_x86_feature_detected!("avx2")` check;
+//! the build still targets baseline x86-64. The AVX2 tile holds its
+//! eight outputs in 8-lane `i32` accumulators fed by `vpmaddwd`. Integer
+//! sums are exact in any order, and each lane's share of a K-chunk is
+//! bounded by the chunk's bound, so it returns the portable body's sums.
+//! The AVX2 rounding bodies are the portable Rust expressions compiled
+//! once more with AVX2 enabled (vector divides and rounds instead of a
+//! `roundf` call per element): the same IEEE operations on the same
+//! inputs (Rust neither fuses a multiply-add nor reassociates), so the
+//! same bits.
 //!
 //! Two quantization entry points exist: [`QuantizedActivations::quantize`]
 //! derives the range from the tensor's own maximum (fine for one-off
@@ -46,6 +64,7 @@ use crate::pack::PackedWeight;
 use csq_tensor::conv::ConvSpec;
 use csq_tensor::par::{self, ScratchPool};
 use csq_tensor::Tensor;
+use std::sync::OnceLock;
 
 /// Why an integer-inference kernel rejected its inputs.
 #[derive(Debug, Clone, PartialEq)]
@@ -94,6 +113,22 @@ pub enum QinferError {
         /// Largest magnitude the packed operand holds.
         max: i32,
     },
+    /// The zero-padded input is smaller than the conv kernel, so the
+    /// conv has no output position.
+    InputSmallerThanKernel {
+        /// The smaller padded spatial extent, `min(H, W) + 2·padding`.
+        padded: usize,
+        /// The kernel extent.
+        kernel: usize,
+    },
+    /// An activation quantizer's range and level count must both be
+    /// positive and finite.
+    BadActQuant {
+        /// The clip range.
+        range: f32,
+        /// The level count.
+        levels: f32,
+    },
 }
 
 impl std::fmt::Display for QinferError {
@@ -129,6 +164,14 @@ impl std::fmt::Display for QinferError {
             QinferError::CodeOutOfRange { code, max } => write!(
                 f,
                 "weight code {code} is outside the integer kernels' range ±{max}"
+            ),
+            QinferError::InputSmallerThanKernel { padded, kernel } => write!(
+                f,
+                "padded input extent {padded} is smaller than the {kernel}x{kernel} kernel"
+            ),
+            QinferError::BadActQuant { range, levels } => write!(
+                f,
+                "activation quantizer range {range} and levels {levels} must be positive and finite"
             ),
         }
     }
@@ -188,12 +231,9 @@ impl QuantizedActivations {
         if !(step.is_finite() && step > 0.0) {
             return Err(QinferError::BadStep { step });
         }
-        let hi = 255.0 * step;
-        buf.clear();
-        buf.extend(
-            x.iter()
-                .map(|&v| (v.clamp(0.0, hi) / step).round().min(255.0) as u8),
-        );
+        // Every code is written below, so stale contents need no clearing.
+        buf.resize(x.numel(), 0);
+        (bodies().emit_codes)(x.data(), step, &mut buf);
         Ok(QuantizedActivations {
             codes: buf,
             step,
@@ -210,6 +250,83 @@ impl QuantizedActivations {
     }
 }
 
+/// The serving plan's `UniformActQuant` op, in place: every `v` becomes
+/// `round(clamp(v, 0, range)/step)·step` with `step = range/levels`, the
+/// eval forward of the training layers' activation quantizer, bit for
+/// bit.
+///
+/// Returns [`QinferError::BadActQuant`] unless `range` and `levels` are
+/// both positive and finite.
+pub fn uniform_act_quant(x: &mut Tensor, range: f32, levels: f32) -> Result<(), QinferError> {
+    let ok = |v: f32| v.is_finite() && v > 0.0;
+    if !(ok(range) && ok(levels)) {
+        return Err(QinferError::BadActQuant { range, levels });
+    }
+    (bodies().act_quant)(x.data_mut(), range, range / levels);
+    Ok(())
+}
+
+/// Code emission: `codes[i] = round(clamp(x[i], 0, 255·step)/step)`,
+/// capped at 255. Forced inline so that the AVX2 body compiles this
+/// same expression with AVX2 enabled.
+#[inline(always)]
+fn emit_codes(x: &[f32], step: f32, codes: &mut [u8]) {
+    let hi = 255.0 * step;
+    for (c, &v) in codes.iter_mut().zip(x) {
+        *c = (v.clamp(0.0, hi) / step).round().min(255.0) as u8;
+    }
+}
+
+/// [`uniform_act_quant`]'s pass, for a checked `range` and its `step`.
+/// Forced inline like [`emit_codes`].
+#[inline(always)]
+fn act_quant(x: &mut [f32], range: f32, step: f32) {
+    for v in x {
+        let c = v.clamp(0.0, range);
+        *v = (c / step).round() * step;
+    }
+}
+
+/// Exact sums of a tile of [`TILE_ROWS`] weight rows against
+/// [`TILE_COLS`] patch rows, all of one length: `acc[r][c] =
+/// Σₚ w[r][p]·x[c][p]`, as `i32` sums over `k_chunk`-long pieces added
+/// up in `i64`.
+type Tile = fn(&[&[u8]; TILE_COLS], &[&[i16]; TILE_ROWS], usize) -> [[i64; TILE_COLS]; TILE_ROWS];
+
+/// The request path's bodies: the GEMM tile and the two rounding
+/// passes.
+#[derive(Clone, Copy)]
+struct Bodies {
+    tile: Tile,
+    emit_codes: fn(&[f32], f32, &mut [u8]),
+    act_quant: fn(&mut [f32], f32, f32),
+}
+
+/// The portable bodies: plain Rust.
+const PORTABLE: Bodies = Bodies {
+    tile,
+    emit_codes,
+    act_quant,
+};
+
+/// The AVX2 bodies, when this CPU has AVX2.
+#[cfg(target_arch = "x86_64")]
+fn avx2_bodies() -> Option<Bodies> {
+    avx2::bodies()
+}
+
+/// The AVX2 bodies, when this CPU has AVX2 (never, off x86-64).
+#[cfg(not(target_arch = "x86_64"))]
+fn avx2_bodies() -> Option<Bodies> {
+    None
+}
+
+/// The bodies this host runs, chosen on first use.
+fn bodies() -> &'static Bodies {
+    static BODIES: OnceLock<Bodies> = OnceLock::new();
+    BODIES.get_or_init(|| avx2_bodies().unwrap_or(PORTABLE))
+}
+
 /// Largest weight-code magnitude the integer GEMM's packed `i16` operand
 /// holds. [`IntegerWeight::from_packed`] rejects wider codes with
 /// [`QinferError::CodeOutOfRange`].
@@ -222,6 +339,12 @@ const MAX_ACT_CODE: u32 = u8::MAX as u32;
 /// zero-padded to a multiple of this, so the lane loop has no tail and
 /// compiles to packed multiply-adds.
 const LANES: usize = 16;
+
+/// Weight rows per GEMM tile.
+const TILE_ROWS: usize = 4;
+
+/// Patch rows per GEMM tile.
+const TILE_COLS: usize = 2;
 
 /// A weight's integer codes packed for the integer GEMM. Built once at
 /// artifact compile time from a [`PackedWeight`]; immutable afterwards.
@@ -345,7 +468,7 @@ fn check_rank(what: &'static str, dims: &[usize], expected: usize) -> Result<(),
 /// Validates a conv's operands and returns its output dims
 /// `[N, OC, OH, OW]` and its group count `G = C / wdims[1]`. `x` must be
 /// `[N, C, H, W]` codes and `wdims` `[OC, C/G, K, K]`, with `G` dividing
-/// `OC`.
+/// `OC` and the padded input at least `K` wide and high.
 fn conv_out_dims(
     x: &QuantizedActivations,
     wdims: &[usize],
@@ -369,6 +492,13 @@ fn conv_out_dims(
             what: "kernel",
             activation: spec.kernel,
             weight: kh.max(kw),
+        });
+    }
+    let padded = h.min(wd) + 2 * spec.padding;
+    if padded < spec.kernel {
+        return Err(QinferError::InputSmallerThanKernel {
+            padded,
+            kernel: spec.kernel,
         });
     }
     Ok(([n, oc, spec.out_size(h), spec.out_size(wd)], groups))
@@ -474,6 +604,241 @@ fn dot_i32(x: &[u8], w: &[i16]) -> i32 {
     lanes.iter().sum::<i32>() + tail
 }
 
+/// The portable tile body: one [`dot`] per output.
+fn tile(
+    x: &[&[u8]; TILE_COLS],
+    w: &[&[i16]; TILE_ROWS],
+    k_chunk: usize,
+) -> [[i64; TILE_COLS]; TILE_ROWS] {
+    w.map(|wr| x.map(|xc| dot(xc, wr, k_chunk)))
+}
+
+#[cfg(target_arch = "x86_64")]
+mod avx2 {
+    use super::{Bodies, LANES, TILE_COLS, TILE_ROWS};
+    use std::arch::x86_64::{__m256i, _mm256_add_epi32, _mm256_castsi256_si128};
+    use std::arch::x86_64::{_mm256_cvtepu8_epi16, _mm256_extracti128_si256, _mm256_hadd_epi32};
+    use std::arch::x86_64::{_mm256_loadu_si256, _mm256_madd_epi16, _mm256_setzero_si256};
+    use std::arch::x86_64::{_mm_add_epi32, _mm_loadu_si128, _mm_storeu_si128};
+
+    // The tile below holds one accumulator per output.
+    const _: () = assert!(TILE_ROWS == 4 && TILE_COLS == 2 && LANES == 16);
+
+    pub(super) fn bodies() -> Option<Bodies> {
+        is_x86_feature_detected!("avx2").then_some(Bodies {
+            tile,
+            emit_codes,
+            act_quant,
+        })
+    }
+
+    /// Only reachable through [`bodies`], which returns it after the
+    /// AVX2 check.
+    fn tile(
+        x: &[&[u8]; TILE_COLS],
+        w: &[&[i16]; TILE_ROWS],
+        k_chunk: usize,
+    ) -> [[i64; TILE_COLS]; TILE_ROWS] {
+        let len = x[0].len();
+        assert!(
+            x.iter().all(|r| r.len() == len) && w.iter().all(|r| r.len() == len),
+            "tile rows of unequal length"
+        );
+        assert!(k_chunk > 0, "empty K-chunk");
+        // SAFETY: `bodies` hands this function out only after
+        // `is_x86_feature_detected!("avx2")` returned true, and the
+        // assert above gives every row of `x` and `w` the `len` elements
+        // that bound the kernel's loads.
+        unsafe { kernel(x, w, len, k_chunk) }
+    }
+
+    /// Only reachable through [`bodies`], which returns it after the
+    /// AVX2 check.
+    fn emit_codes(x: &[f32], step: f32, codes: &mut [u8]) {
+        // SAFETY: `bodies` hands this function out only after
+        // `is_x86_feature_detected!("avx2")` returned true; the body
+        // reads and writes through bounds-checked slices only, so it
+        // relies on no length assert.
+        unsafe { emit_codes_avx2(x, step, codes) }
+    }
+
+    /// Only reachable through [`bodies`], which returns it after the
+    /// AVX2 check.
+    fn act_quant(x: &mut [f32], range: f32, step: f32) {
+        // SAFETY: `bodies` hands this function out only after
+        // `is_x86_feature_detected!("avx2")` returned true; the body
+        // reads and writes through bounds-checked slices only, so it
+        // relies on no length assert.
+        unsafe { act_quant_avx2(x, range, step) }
+    }
+
+    #[target_feature(enable = "avx2")]
+    fn emit_codes_avx2(x: &[f32], step: f32, codes: &mut [u8]) {
+        super::emit_codes(x, step, codes)
+    }
+
+    #[target_feature(enable = "avx2")]
+    fn act_quant_avx2(x: &mut [f32], range: f32, step: f32) {
+        super::act_quant(x, range, step)
+    }
+
+    /// The tile's sums: per K-chunk, 16-deep steps into eight 8-lane
+    /// `i32` accumulators (`acc[2r + c]` for weight row `r` × patch row
+    /// `c`), the chunk's last `len % 16` codes through zero-padded
+    /// copies, then one horizontal sum per accumulator added into `i64`.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2, and every row of `x` and `w` must hold
+    /// at least `len` elements.
+    #[target_feature(enable = "avx2")]
+    unsafe fn kernel(
+        x: &[&[u8]; TILE_COLS],
+        w: &[&[i16]; TILE_ROWS],
+        len: usize,
+        k_chunk: usize,
+    ) -> [[i64; TILE_COLS]; TILE_ROWS] {
+        let mut sums = [[0i64; TILE_COLS]; TILE_ROWS];
+        let mut c0 = 0;
+        while c0 < len {
+            let c1 = len.min(c0 + k_chunk);
+            let mut acc = [_mm256_setzero_si256(); TILE_ROWS * TILE_COLS];
+            let mut p = c0;
+            while p + LANES <= c1 {
+                step(
+                    &mut acc,
+                    x.map(|r| r.as_ptr().add(p)),
+                    w.map(|r| r.as_ptr().add(p)),
+                );
+                p += LANES;
+            }
+            if p < c1 {
+                let mut xt = [[0u8; LANES]; TILE_COLS];
+                let mut wt = [[0i16; LANES]; TILE_ROWS];
+                for (t, r) in xt.iter_mut().zip(x) {
+                    t[..c1 - p].copy_from_slice(&r[p..c1]);
+                }
+                for (t, r) in wt.iter_mut().zip(w) {
+                    t[..c1 - p].copy_from_slice(&r[p..c1]);
+                }
+                step(
+                    &mut acc,
+                    xt.each_ref().map(|t| t.as_ptr()),
+                    wt.each_ref().map(|t| t.as_ptr()),
+                );
+            }
+            let chunk = lane_sums(&acc);
+            for (i, &s) in chunk.iter().enumerate() {
+                sums[i / TILE_COLS][i % TILE_COLS] += i64::from(s);
+            }
+            c0 = c1;
+        }
+        sums
+    }
+
+    /// Adds one 16-deep step into `acc`: two widening `u8 → i16` loads,
+    /// four weight loads and eight `vpmaddwd`, each pair sum exact.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2, and every pointer must have 16
+    /// readable elements.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn step(
+        acc: &mut [__m256i; TILE_ROWS * TILE_COLS],
+        x: [*const u8; TILE_COLS],
+        w: [*const i16; TILE_ROWS],
+    ) {
+        let x0 = _mm256_cvtepu8_epi16(_mm_loadu_si128(x[0].cast()));
+        let x1 = _mm256_cvtepu8_epi16(_mm_loadu_si128(x[1].cast()));
+        for (r, &wr) in w.iter().enumerate() {
+            let wv = _mm256_loadu_si256(wr.cast());
+            acc[2 * r] = _mm256_add_epi32(acc[2 * r], _mm256_madd_epi16(x0, wv));
+            acc[2 * r + 1] = _mm256_add_epi32(acc[2 * r + 1], _mm256_madd_epi16(x1, wv));
+        }
+    }
+
+    /// The total of each accumulator's eight lanes, in `acc` order: two
+    /// rounds of pairwise adds within each 128-bit half, then the halves
+    /// added.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn lane_sums(acc: &[__m256i; TILE_ROWS * TILE_COLS]) -> [i32; TILE_ROWS * TILE_COLS] {
+        let mut out = [0i32; TILE_ROWS * TILE_COLS];
+        for (quad, dst) in acc.chunks_exact(4).zip(out.chunks_exact_mut(4)) {
+            let h01 = _mm256_hadd_epi32(quad[0], quad[1]);
+            let h23 = _mm256_hadd_epi32(quad[2], quad[3]);
+            let q = _mm256_hadd_epi32(h01, h23);
+            let total = _mm_add_epi32(_mm256_castsi256_si128(q), _mm256_extracti128_si256::<1>(q));
+            _mm_storeu_si128(dst.as_mut_ptr().cast(), total);
+        }
+        out
+    }
+}
+
+/// `rows` patch rows of `len` codes each, the `s`-th at
+/// `codes[s·stride..]`.
+#[derive(Clone, Copy)]
+struct PatchRows<'a> {
+    codes: &'a [u8],
+    rows: usize,
+    stride: usize,
+    len: usize,
+}
+
+impl<'a> PatchRows<'a> {
+    fn row(&self, s: usize) -> &'a [u8] {
+        &self.codes[s * self.stride..s * self.stride + self.len]
+    }
+}
+
+/// Exact sums of the weight rows `rows` (one group's) against every
+/// patch row of `x`: `store(o, s, Σₚ w[o][p]·x[s][p])` for each pair.
+/// Each block of [`TILE_ROWS`] rows runs `tile` over the patch rows in
+/// pairs (a lone last patch row is paired with itself, and one sum
+/// kept); the rows of a last, short block run [`dot`].
+fn row_sums(
+    tile: Tile,
+    w: &IntegerWeight,
+    mut rows: impl Iterator<Item = usize>,
+    x: PatchRows<'_>,
+    mut store: impl FnMut(usize, usize, i64),
+) {
+    let wrow = |o: usize| &w.codes[o * w.stride..o * w.stride + x.len];
+    loop {
+        let mut block = [0usize; TILE_ROWS];
+        let mut filled = 0;
+        for (slot, o) in block.iter_mut().zip(rows.by_ref()) {
+            *slot = o;
+            filled += 1;
+        }
+        if filled < TILE_ROWS {
+            for &o in &block[..filled] {
+                for s in 0..x.rows {
+                    store(o, s, dot(x.row(s), wrow(o), w.k_chunk));
+                }
+            }
+            return;
+        }
+        let ws = block.map(wrow);
+        for s in (0..x.rows).step_by(TILE_COLS) {
+            let s1 = (s + 1).min(x.rows - 1);
+            let acc = tile(&[x.row(s), x.row(s1)], &ws, w.k_chunk);
+            for (&o, [a, b]) in block.iter().zip(acc) {
+                store(o, s, a);
+                if s1 > s {
+                    store(o, s1, b);
+                }
+            }
+        }
+    }
+}
+
 /// The integer GEMM behind every quantized weighted op. `patches` holds
 /// `samples · m` rows of `kp` codes; the result is `[samples, w.rows, m]`
 /// with `out[n, o, s] = dot(patch (n, s), weight row o) · scale`. With
@@ -481,7 +846,10 @@ fn dot_i32(x: &[u8], w: &[i16]) -> i32 {
 /// groups, over its group's `w.k` columns, starting at
 /// `(o / (w.rows / groups))·w.k`.
 ///
-/// Tasks own whole output planes `(n, o)`, sized by shape only.
+/// Tasks own whole output planes `(n, o)`, sized by shape only and
+/// rounded up to whole blocks of [`TILE_ROWS`] planes. Within a task,
+/// the live (non-pruned) rows of each sample and group run through
+/// [`row_sums`]; pruned rows are skipped and stay exactly zero.
 fn gemm(
     patches: &[u8],
     samples: usize,
@@ -496,21 +864,28 @@ fn gemm(
     if out.is_empty() {
         return out;
     }
+    let tile = bodies().tile;
     let group_rows = w.rows / groups;
-    let planes_per_task = par::chunk_len(samples * w.rows, m * len);
+    let planes_per_task = par::chunk_len(samples * w.rows, m * len).next_multiple_of(TILE_ROWS);
     par::par_chunks_mut(&mut out, planes_per_task * m, |_t, start, chunk| {
-        for (i, plane) in chunk.chunks_exact_mut(m).enumerate() {
-            let p = start / m + i;
+        let (p0, p1) = (start / m, (start + chunk.len()) / m);
+        let mut p = p0;
+        while p < p1 {
+            // Planes p..end: one sample's rows o.. of one group.
             let (n, o) = (p / w.rows, p % w.rows);
-            if !w.nonzero[o] {
-                continue;
-            }
-            let wrow = &w.codes[o * w.stride..o * w.stride + len];
-            let off = o / group_rows * w.k;
-            for (s, y) in plane.iter_mut().enumerate() {
-                let base = (n * m + s) * kp + off;
-                *y = dot(&patches[base..base + len], wrow, w.k_chunk) as f32 * scale;
-            }
+            let end = p1.min(p + group_rows - o % group_rows);
+            let x = PatchRows {
+                codes: &patches[n * m * kp + o / group_rows * w.k..],
+                rows: m,
+                stride: kp,
+                len,
+            };
+            let live = (o..o + end - p).filter(|&r| w.nonzero[r]);
+            let plane = |r: usize| (n * w.rows + r - p0) * m;
+            row_sums(tile, w, live, x, |r, s, acc| {
+                chunk[plane(r) + s] = acc as f32 * scale;
+            });
+            p = end;
         }
     });
     out
@@ -541,7 +916,9 @@ pub fn conv2d_integer(
 }
 
 /// Integer fully-connected layer: `y = codes(x) · codes(W)ᵀ · scale`, the
-/// integer GEMM with each activation row as its own patch row.
+/// integer GEMM with the activation rows as the patch rows of one
+/// sample (so that the tile pairs them), its `[OUT, B]` result
+/// transposed.
 ///
 /// `x` is `[B, IN]` quantized activations; `w` packs a linear weight
 /// `[OUT, IN]`. Returns float `[B, OUT]`.
@@ -557,7 +934,13 @@ pub fn linear_integer(x: &QuantizedActivations, w: &IntegerWeight) -> Result<Ten
             weight: w.k,
         });
     }
-    let y = gemm(&x.codes, b, 1, inf, w, 1, w.step * x.step);
+    let yt = gemm(&x.codes, 1, b, inf, w, 1, w.step * x.step);
+    let mut y = vec![0.0f32; b * w.rows];
+    for (o, col) in yt.chunks_exact(b.max(1)).enumerate() {
+        for (bi, &v) in col.iter().enumerate() {
+            y[bi * w.rows + o] = v;
+        }
+    }
     Ok(Tensor::from_vec(y, &[b, w.rows]))
 }
 
@@ -569,7 +952,7 @@ mod tests {
     use csq_nn::{Linear, WeightSource};
     use csq_tensor::conv::conv2d;
     use csq_tensor::init;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 
     fn int(pw: &PackedWeight) -> IntegerWeight {
@@ -746,6 +1129,42 @@ mod tests {
         );
         let bad_rank = conv2d_integer(&xq, &int(&pw), ConvSpec::new(3, 1, 1), &ScratchPool::new());
         assert!(matches!(bad_rank, Err(QinferError::BadRank { .. })));
+        // A 1×1 input cannot hold a 3×3 kernel without padding.
+        let pixel = QuantizedActivations {
+            codes: vec![7],
+            step: 1.0,
+            dims: vec![1, 1, 1, 1],
+        };
+        let pw3 = PackedWeight {
+            path: "weight".to_string(),
+            codes: vec![1; 9],
+            step: 1.0,
+            dims: vec![1, 1, 3, 3],
+            bits: 8.0,
+        };
+        assert_eq!(
+            conv2d_integer(
+                &pixel,
+                &int(&pw3),
+                ConvSpec::new(3, 1, 0),
+                &ScratchPool::new()
+            ),
+            Err(QinferError::InputSmallerThanKernel {
+                padded: 1,
+                kernel: 3,
+            })
+        );
+        let mut x = Tensor::from_vec(vec![0.5], &[1]);
+        for (range, levels) in [(0.0, 15.0), (-1.0, -15.0), (f32::NAN, 15.0), (1.0, 0.0)] {
+            assert!(
+                matches!(
+                    uniform_act_quant(&mut x, range, levels),
+                    Err(QinferError::BadActQuant { .. })
+                ),
+                "range {range}, levels {levels}"
+            );
+        }
+        assert_eq!(x.data(), &[0.5], "a rejected quantizer leaves its input");
     }
 
     #[test]
@@ -829,5 +1248,172 @@ mod tests {
                 "sample {i} differs between batched and single"
             );
         }
+    }
+
+    /// `i64` sums of every `k`-long code row of `w` against every `k`-long
+    /// row of `x`, `out[o·m + s]`, by direct loops.
+    fn direct_sums(w: &PackedWeight, x: &[u8], m: usize) -> Vec<i64> {
+        let (rows, k) = (w.dims[0], w.dims[1]);
+        let mut out = Vec::with_capacity(rows * m);
+        for o in 0..rows {
+            for s in 0..m {
+                let dot = (0..k).map(|p| i64::from(x[s * k + p]) * i64::from(w.codes[o * k + p]));
+                out.push(dot.sum());
+            }
+        }
+        out
+    }
+
+    /// The AVX2 and portable tile bodies give the same sums through
+    /// [`row_sums`]'s full blocks and tails, over rows 1–9, patch rows
+    /// 1–5 and depths around the 16-code step, and at and past the
+    /// K-chunk with ±[`MAX_CODE`] rows against all-255 activations; each
+    /// body also equals the direct sums.
+    #[test]
+    fn avx2_and_portable_tile_bodies_agree_bit_for_bit() {
+        let avx2 = avx2_bodies();
+        if avx2.is_none() {
+            println!("no AVX2 on this host: checked only the portable body");
+        }
+        let check = |w: &PackedWeight, x: &[u8], m: usize, what: &str| {
+            let iw = int(w);
+            let sums = |tile: Tile| {
+                let mut out = vec![0i64; iw.rows * m];
+                let x = PatchRows {
+                    codes: x,
+                    rows: m,
+                    stride: iw.k,
+                    len: iw.k,
+                };
+                row_sums(tile, &iw, 0..iw.rows, x, |o, s, acc| out[o * m + s] = acc);
+                out
+            };
+            let want = direct_sums(w, x, m);
+            assert_eq!(sums(PORTABLE.tile), want, "portable, {what}");
+            if let Some(b) = avx2 {
+                assert_eq!(sums(b.tile), want, "AVX2, {what}");
+            }
+        };
+        let weight = |rows: usize, k: usize, codes: Vec<i32>| PackedWeight {
+            path: "weight".to_string(),
+            codes,
+            step: 1.0,
+            dims: vec![rows, k],
+            bits: 8.0,
+        };
+        let mut rng = ChaCha8Rng::seed_from_u64(31);
+        for k in [0usize, 1, 15, 16, 17, 80, 144, 288] {
+            for rows in 1..=9 {
+                for m in 1..=5 {
+                    let codes = (0..rows * k).map(|_| rng.gen_range(-255..=255)).collect();
+                    let x: Vec<u8> = (0..m * k).map(|_| rng.gen_range(0..=255u8)).collect();
+                    check(&weight(rows, k, codes), &x, m, &format!("k={k} {rows}x{m}"));
+                }
+            }
+        }
+        let chunk = int(&weight(1, 1, vec![MAX_CODE])).k_chunk();
+        for k in [chunk, chunk + 1, 2 * chunk + 3] {
+            for code in [MAX_CODE, -MAX_CODE] {
+                // Rows alternate sign, so every tile holds both extremes.
+                let codes = (0..5 * k).map(|i| [code, -code][i / k % 2]).collect();
+                check(
+                    &weight(5, k, codes),
+                    &vec![255; 3 * k],
+                    3,
+                    &format!("k={k} code={code}"),
+                );
+            }
+        }
+    }
+
+    /// The AVX2 and portable rounding bodies give the same codes and the
+    /// same float bits on NaN, ±inf, −0.0, exact halves `n + 0.5`,
+    /// 0.49999997, subnormals, and values just under and over `255·step`
+    /// and `range`, each alone and in runs that start at every offset of
+    /// an 8-lane vector; the portable body gives the documented answers.
+    #[test]
+    fn avx2_and_portable_rounding_bodies_agree_bit_for_bit() {
+        let avx2 = avx2_bodies();
+        if avx2.is_none() {
+            println!("no AVX2 on this host: checked only the portable body");
+        }
+        let bodies: Vec<Bodies> = std::iter::once(PORTABLE).chain(avx2).collect();
+        let codes = |b: &Bodies, xs: &[f32], step: f32| {
+            let mut c = vec![0u8; xs.len()];
+            (b.emit_codes)(xs, step, &mut c);
+            c
+        };
+        let quant = |b: &Bodies, xs: &[f32], range: f32, step: f32| {
+            let mut v = xs.to_vec();
+            (b.act_quant)(&mut v, range, step);
+            v.iter().map(|f| f.to_bits()).collect::<Vec<u32>>()
+        };
+        for step in [1.0f32, 0.25, 0.0123, 5.395 / 15.0] {
+            let range = 15.0 * step;
+            let mut xs = vec![
+                f32::NAN,
+                f32::INFINITY,
+                f32::NEG_INFINITY,
+                0.0,
+                -0.0,
+                0.499_999_97,
+                0.499_999_97 * step,
+                f32::from_bits(1),
+                -f32::from_bits(1),
+                f32::MIN_POSITIVE / 2.0,
+                f32::MIN_POSITIVE,
+                f32::MAX,
+                f32::MIN,
+                -1.0,
+            ];
+            for edge in [255.0 * step, range] {
+                xs.extend([edge.next_down(), edge, edge.next_up()]);
+            }
+            for n in 0..=256 {
+                let half = (n as f32 + 0.5) * step;
+                xs.extend([n as f32 * step, half.next_down(), half, half.next_up()]);
+            }
+            for start in (0..9).chain(xs.len() - 9..xs.len()) {
+                for run in [&xs[start..], &xs[start..start + 1]] {
+                    for b in &bodies[1..] {
+                        assert_eq!(
+                            codes(b, run, step),
+                            codes(&PORTABLE, run, step),
+                            "step {step}"
+                        );
+                        assert_eq!(
+                            quant(b, run, range, step),
+                            quant(&PORTABLE, run, range, step),
+                            "step {step}"
+                        );
+                    }
+                }
+            }
+        }
+        // The portable body itself: halves round away from zero, NaN and
+        // +inf take the top code, and act-quant keeps −0.0 and NaN.
+        let xs = [
+            0.5,
+            1.5,
+            2.5,
+            254.5,
+            300.0,
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            -0.0,
+        ];
+        assert_eq!(
+            codes(&PORTABLE, &xs, 1.0),
+            [1, 2, 3, 255, 255, 255, 255, 0, 0]
+        );
+        let aq = quant(
+            &PORTABLE,
+            &[0.5, 14.5, 16.0, -3.0, -0.0, f32::NAN],
+            15.0,
+            1.0,
+        );
+        let want = [1.0, 15.0, 15.0, 0.0, -0.0, f32::NAN].map(f32::to_bits);
+        assert_eq!(aq, want);
     }
 }

@@ -7,8 +7,9 @@
 //! that are not tile multiples, batches 1–4 and all-zero filters, at 1
 //! and 4 threads; fixed cases drive
 //! 255 × ±255 operands (and the widest packable codes) to and past the
-//! K-chunk boundary where `i32` partial sums are handed to `i64`. Uses
-//! only std and the workspace crates, so it builds offline.
+//! K-chunk boundary where `i32` partial sums are handed to `i64`, through
+//! full 4-row × 2-patch-row GEMM tiles and their tails. Uses only std and
+//! the workspace crates, so it builds offline.
 
 use csq_core::pack::PackedWeight;
 use csq_core::qinfer::{
@@ -140,11 +141,15 @@ fn pack(w: &PackedWeight) -> IntegerWeight {
 }
 
 /// Dense (`G = 1`), grouped (`1 < G < IC`) and depthwise (`G = IC`)
-/// convs, one in three each; the sweep checks that it met every kind.
+/// convs, one in three each; the sweep checks that it met every kind,
+/// groups of `OC/G` rows that fill whole 4-row GEMM tiles and groups
+/// that leave a tail, and an odd number of output positions (a patch row
+/// without a pair).
 #[test]
 fn seeded_conv_sweep_matches_direct_loops_at_1_and_4_threads() {
     let scratch = ScratchPool::new();
     let mut seen = [false; 3];
+    let (mut whole_tiles, mut tile_tail, mut odd_positions) = (false, false, false);
     for case in 0..300u64 {
         let mut rng = Rng::new(case);
         let k = rng.pick(&[1usize, 3, 5]);
@@ -167,6 +172,9 @@ fn seeded_conv_sweep_matches_direct_loops_at_1_and_4_threads() {
         let w = weight(&mut rng, &[oc, icg, k, k], max);
         let want = conv_ref(&x, &w, spec);
         let iw = pack(&w);
+        whole_tiles |= ocg.is_multiple_of(4);
+        tile_tail |= !ocg.is_multiple_of(4);
+        odd_positions |= spec.out_size(h) * spec.out_size(wd) % 2 == 1;
         for threads in [1usize, 4] {
             let got = par::with_threads(threads, || conv2d_integer(&x, &iw, spec, &scratch))
                 .expect("conv");
@@ -183,6 +191,9 @@ fn seeded_conv_sweep_matches_direct_loops_at_1_and_4_threads() {
         }
     }
     assert!(seen.iter().all(|&s| s), "sweep missed a grouping: {seen:?}");
+    assert!(whole_tiles, "sweep met no (OC/G) % 4 == 0");
+    assert!(tile_tail, "sweep met no (OC/G) % 4 != 0");
+    assert!(odd_positions, "sweep met no odd OH·OW");
 }
 
 #[test]
@@ -205,13 +216,13 @@ fn seeded_linear_sweep_matches_direct_loops_at_1_and_4_threads() {
     }
 }
 
-/// Activations all 255 against `rows` rows of `code`; a negative `code`
-/// alternates sign along each row.
-fn extreme(k: usize, rows: usize, code: i32) -> (QuantizedActivations, PackedWeight) {
+/// `batch` activation rows all 255 against `rows` rows of `code`; a
+/// negative `code` alternates sign along each row.
+fn extreme(k: usize, rows: usize, batch: usize, code: i32) -> (QuantizedActivations, PackedWeight) {
     let x = QuantizedActivations {
-        codes: vec![255; k],
+        codes: vec![255; batch * k],
         step: 1.0,
-        dims: vec![1, k],
+        dims: vec![batch, k],
     };
     let w = PackedWeight {
         path: "w".to_string(),
@@ -228,7 +239,7 @@ fn extreme(k: usize, rows: usize, code: i32) -> (QuantizedActivations, PackedWei
 #[test]
 fn k_chunk_keeps_every_i32_partial_sum_in_range() {
     for max in [1, 255, MAX_CODE] {
-        let (_, w) = extreme(4, 1, max);
+        let (_, w) = extreme(4, 1, 1, max);
         let chunk = pack(&w).k_chunk() as i64;
         let per = 255 * i64::from(max);
         assert_eq!(chunk % 16, 0, "max={max}");
@@ -240,13 +251,14 @@ fn k_chunk_keeps_every_i32_partial_sum_in_range() {
 #[test]
 fn extreme_operands_stay_exact_at_and_past_the_k_chunk_boundary() {
     for code in [255, -255, MAX_CODE, -MAX_CODE] {
-        let (_, probe) = extreme(4, 1, code);
+        let (_, probe) = extreme(4, 1, 1, code);
         let chunk = pack(&probe).k_chunk();
         for k in [chunk - 1, chunk, chunk + 1, 2 * chunk + 3] {
-            // One row of all `code`, one alternating sign (negative
-            // `code`) or repeated (positive): sums that overflow `i32`
-            // unless chunked.
-            let (x, w) = extreme(k, 2, code);
+            // Rows of all `code` (positive) or alternating sign
+            // (negative): sums that overflow `i32` unless chunked. Five
+            // rows against three activation rows fill one 4×2 GEMM tile
+            // and leave a row tail and an unpaired activation row.
+            let (x, w) = extreme(k, 5, 3, code);
             let want = linear_ref(&x, &w);
             let iw = pack(&w);
             for threads in [1usize, 4] {
@@ -256,8 +268,9 @@ fn extreme_operands_stay_exact_at_and_past_the_k_chunk_boundary() {
         }
     }
     // The same boundary through the conv path: 3×3 patches whose
-    // `IC·9` reduction passes one chunk, with padding.
-    let (_, probe) = extreme(4, 1, 255);
+    // `IC·9` reduction passes one chunk, with padding; five output
+    // channels of alternating sign over nine (odd) output positions.
+    let (_, probe) = extreme(4, 1, 1, 255);
     let ic = (pack(&probe).k_chunk() + 1).div_ceil(9);
     let spec = ConvSpec::new(3, 1, 1);
     let x = QuantizedActivations {
@@ -267,11 +280,11 @@ fn extreme_operands_stay_exact_at_and_past_the_k_chunk_boundary() {
     };
     let w = PackedWeight {
         path: "w".to_string(),
-        codes: (0..2 * ic * 9)
-            .map(|i| if i < ic * 9 { 255 } else { -255 })
+        codes: (0..5 * ic * 9)
+            .map(|i| [255, -255][i / (ic * 9) % 2])
             .collect(),
         step: 1.0,
-        dims: vec![2, ic, 3, 3],
+        dims: vec![5, ic, 3, 3],
         bits: 8.0,
     };
     let want = conv_ref(&x, &w, spec);

@@ -134,6 +134,29 @@ fn positive(v: &Value, ctx: &str, name: &str) -> Result<usize, String> {
     }
 }
 
+/// A conv's zero padding: every exporter writes `kernel / 2`, and a
+/// border as wide as the kernel would only size the first forward's
+/// buffers from a bogus extent.
+fn padding(v: &Value, ctx: &str, kernel: usize) -> Result<usize, String> {
+    match field(v, ctx, "padding")? {
+        p if p < kernel => Ok(p),
+        p => Err(format!(
+            "{ctx}.padding: {p} must be smaller than the kernel ({kernel})"
+        )),
+    }
+}
+
+/// A quantizer's range or level count: a zero, negative or non-finite
+/// value would turn every activation into NaN or fail the first forward.
+fn positive_finite(v: &Value, ctx: &str, name: &str) -> Result<f32, String> {
+    match field::<f32>(v, ctx, name)? {
+        x if x.is_finite() && x > 0.0 => Ok(x),
+        x => Err(format!(
+            "{ctx}.{name}: must be positive and finite, got {x}"
+        )),
+    }
+}
+
 /// Reads the externally tagged form `Serialize` writes: unit ops are
 /// bare strings, the others single-member objects.
 impl FromJson for InferOp {
@@ -141,15 +164,18 @@ impl FromJson for InferOp {
         let (name, body) = variant(v, ctx)?;
         let c = &format!("{ctx}.{name}");
         Ok(match name {
-            "Conv2d" => InferOp::Conv2d {
-                weight: field(body, c, "weight")?,
-                in_channels: field(body, c, "in_channels")?,
-                out_channels: field(body, c, "out_channels")?,
-                kernel: positive(body, c, "kernel")?,
-                stride: positive(body, c, "stride")?,
-                padding: field(body, c, "padding")?,
-                bias: field(body, c, "bias")?,
-            },
+            "Conv2d" => {
+                let kernel = positive(body, c, "kernel")?;
+                InferOp::Conv2d {
+                    weight: field(body, c, "weight")?,
+                    in_channels: field(body, c, "in_channels")?,
+                    out_channels: field(body, c, "out_channels")?,
+                    kernel,
+                    stride: positive(body, c, "stride")?,
+                    padding: padding(body, c, kernel)?,
+                    bias: field(body, c, "bias")?,
+                }
+            }
             "Linear" => InferOp::Linear {
                 weight: field(body, c, "weight")?,
                 in_features: field(body, c, "in_features")?,
@@ -161,8 +187,8 @@ impl FromJson for InferOp {
                 shift: field(body, c, "shift")?,
             },
             "UniformActQuant" => InferOp::UniformActQuant {
-                range: field(body, c, "range")?,
-                levels: field(body, c, "levels")?,
+                range: positive_finite(body, c, "range")?,
+                levels: positive_finite(body, c, "levels")?,
             },
             "MaxPool" => InferOp::MaxPool {
                 window: positive(body, c, "window")?,

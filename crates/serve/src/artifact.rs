@@ -520,6 +520,42 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// Plan fields that no exporter writes and that the first forward
+    /// would trust: a conv padding as wide as its kernel, and an
+    /// act-quant range or level count that is not positive.
+    #[test]
+    fn padding_past_the_kernel_and_non_positive_act_quant_are_rejected_on_load() {
+        let conv = |padding| InferOp::Conv2d {
+            weight: "w".to_string(),
+            in_channels: 1,
+            out_channels: 1,
+            kernel: 3,
+            stride: 1,
+            padding,
+            bias: None,
+        };
+        let act_quant = |range, levels| InferOp::UniformActQuant { range, levels };
+        for (op, field) in [
+            (conv(3), "Conv2d.padding"),
+            (conv(1 << 40), "Conv2d.padding"),
+            (act_quant(5.0, 0.0), "UniformActQuant.levels"),
+            (act_quant(0.0, 15.0), "UniformActQuant.range"),
+            (act_quant(-1.0, 15.0), "UniformActQuant.range"),
+        ] {
+            let mut artifact = empty_artifact(CSQM_FORMAT_VERSION);
+            artifact.ops = vec![conv(1), op];
+            let path = temp_csqm("bad-plan-field");
+            artifact.save(&path).unwrap();
+            match ModelArtifact::load(&path).unwrap_err() {
+                ArtifactError::Json(msg) => {
+                    assert!(msg.contains(&format!("artifact.ops[1].{field}")), "{msg}")
+                }
+                other => panic!("expected a decode error, got {other:?}"),
+            }
+            std::fs::remove_file(&path).ok();
+        }
+    }
+
     #[test]
     fn weight_without_path_is_rejected_on_load() {
         let mut artifact = empty_artifact(CSQM_FORMAT_VERSION);

@@ -26,7 +26,8 @@
 //! the property the engine's micro-batching relies on.
 
 use csq_core::qinfer::{
-    conv2d_integer, linear_integer, IntegerWeight, QinferError, QuantizedActivations,
+    conv2d_integer, linear_integer, uniform_act_quant, IntegerWeight, QinferError,
+    QuantizedActivations,
 };
 use csq_core::PackedWeight;
 use csq_nn::InferOp;
@@ -846,13 +847,9 @@ fn run_ops(
             }
             BoundOp::Relu => x.map(|v| v.max(0.0)),
             BoundOp::UniformActQuant { range, levels } => {
-                // Exact replica of the training layers' eval forward.
-                let step = *range / *levels;
-                let r = *range;
-                x.map(|v| {
-                    let c = v.clamp(0.0, r);
-                    (c / step).round() * step
-                })
+                let mut y = x;
+                uniform_act_quant(&mut y, *range, *levels)?;
+                y
             }
             BoundOp::MaxPool { window, stride } => pool::maxpool2d(&x, *window, *stride).output,
             BoundOp::AvgPool { window, stride } => pool::avgpool2d(&x, *window, *stride),

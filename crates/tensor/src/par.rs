@@ -176,6 +176,8 @@ pub struct SharedSliceMut<'a, T> {
 // whose contract requires disjoint ranges; with that upheld, concurrent
 // use from multiple threads is data-race free for T: Send.
 unsafe impl<T: Send> Send for SharedSliceMut<'_, T> {}
+// SAFETY: as for `Send`: shared references reach the slice only through
+// `slice_mut`, whose callers guarantee disjoint ranges.
 unsafe impl<T: Send> Sync for SharedSliceMut<'_, T> {}
 
 impl<'a, T> SharedSliceMut<'a, T> {

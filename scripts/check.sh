@@ -8,8 +8,8 @@ cd "$(dirname "$0")/.."
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
-echo "==> cargo clippy (-D warnings)"
-cargo clippy --workspace --all-targets -- -D warnings
+echo "==> cargo clippy (-D warnings, every unsafe block documented)"
+cargo clippy --workspace --all-targets -- -D warnings -D clippy::undocumented_unsafe_blocks
 
 echo "==> cargo doc (-D warnings: no broken or ambiguous intra-doc links)"
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps

@@ -13,6 +13,9 @@ struct CountingAlloc;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
+// SAFETY: every call is forwarded unchanged to the system allocator,
+// which upholds the `GlobalAlloc` contract; counting has no effect on
+// the memory handed out.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
