@@ -16,17 +16,17 @@
 //! Every quantized conv (dense, grouped or depthwise) and linear layer
 //! runs as one exact integer GEMM. [`IntegerWeight::from_packed`] packs
 //! a weight's codes once, at artifact compile time, into `i16` rows (one
-//! per output channel, in the `[C/G, KH, KW]` patch order) with a flag
-//! per all-zero row. At run time a convolution lowers its u8 codes to
-//! patch rows with im2col (padding is code 0), a linear layer uses its
-//! code rows as they are, and each output is the dot product of one
-//! weight row with its group's stretch of one patch row (the whole row
-//! when `G = 1`): `i32` partial sums over K-chunks short enough
-//! that none can overflow ([`IntegerWeight::k_chunk`], derived from the
-//! weight's largest |code|), added up in `i64`. The sum is therefore the
-//! exact integer dot product however it is chunked, and the final
-//! `acc as f32 * scale` is the one conversion to float. Pruned filters
-//! (all-zero rows) are skipped and leave exact zeros.
+//! per output channel, a conv's in `(kh, kw, c)` order) with a flag per
+//! all-zero row. At run time a conv gathers patch rows in that order, `K`
+//! runs of `K·C/G` codes per group from a zero-bordered channels-last
+//! plane (padding is code 0), a linear layer uses its code rows as they
+//! are, and each output is the dot product of one weight row with its
+//! group's stretch of one patch row (the whole row when `G = 1`), exact
+//! in any order: `i32` partial sums over K-chunks that cannot overflow
+//! ([`IntegerWeight::k_chunk`], from the weight's largest |code|), added
+//! up in `i64`, however chunked. The final `acc as f32 * scale` is the
+//! one conversion to float. Pruned filters (all-zero rows) are skipped
+//! and leave exact zeros.
 //!
 //! The GEMM runs a register tile of 4 weight rows × 2 patch rows, so
 //! each code it loads feeds 2 or 4 products. Output planes are split
@@ -46,10 +46,10 @@
 //! sums are exact in any order, and each lane's share of a K-chunk is
 //! bounded by the chunk's bound, so it returns the portable body's sums.
 //! The AVX2 rounding bodies are the portable Rust expressions compiled
-//! once more with AVX2 enabled (vector divides and rounds instead of a
-//! `roundf` call per element): the same IEEE operations on the same
-//! inputs (Rust neither fuses a multiply-add nor reassociates), so the
-//! same bits.
+//! once more with AVX2 enabled (vector divides, rounds and code packing
+//! instead of a `roundf` call and a saturating convert per element): the
+//! same IEEE operations on the same inputs (Rust neither fuses a
+//! multiply-add nor reassociates), so the same bits.
 //!
 //! Two quantization entry points exist: [`QuantizedActivations::quantize`]
 //! derives the range from the tensor's own maximum (fine for one-off
@@ -267,13 +267,15 @@ pub fn uniform_act_quant(x: &mut Tensor, range: f32, levels: f32) -> Result<(), 
 }
 
 /// Code emission: `codes[i] = round(clamp(x[i], 0, 255·step)/step)`,
-/// capped at 255. Forced inline so that the AVX2 body compiles this
-/// same expression with AVX2 enabled.
+/// capped at 255. That is a whole number `r` in [0, 255] (NaN becomes
+/// 255), so `2²³ + r` is exact and its low byte is `r`: a conversion that
+/// vectorizes, unlike `as u8`. Forced inline so that the AVX2 body
+/// compiles this same expression with AVX2 enabled.
 #[inline(always)]
 fn emit_codes(x: &[f32], step: f32, codes: &mut [u8]) {
     let hi = 255.0 * step;
     for (c, &v) in codes.iter_mut().zip(x) {
-        *c = (v.clamp(0.0, hi) / step).round().min(255.0) as u8;
+        *c = ((v.clamp(0.0, hi) / step).round().min(255.0) + 8_388_608.0).to_bits() as u8;
     }
 }
 
@@ -309,11 +311,8 @@ const PORTABLE: Bodies = Bodies {
     act_quant,
 };
 
-/// The AVX2 bodies, when this CPU has AVX2.
 #[cfg(target_arch = "x86_64")]
-fn avx2_bodies() -> Option<Bodies> {
-    avx2::bodies()
-}
+use avx2::bodies as avx2_bodies;
 
 /// The AVX2 bodies, when this CPU has AVX2 (never, off x86-64).
 #[cfg(not(target_arch = "x86_64"))]
@@ -351,8 +350,8 @@ const TILE_COLS: usize = 2;
 ///
 /// The reduction axis is everything after the first dim: a linear weight
 /// `[OUT, IN]` packs `IN` codes per row, and a conv weight
-/// `[OC, IC/G, KH, KW]` packs `(IC/G)·KH·KW`, one group's stretch of an
-/// im2col patch row (`KH·KW` for a depthwise conv).
+/// `[OC, IC/G, KH, KW]` packs `KH·KW·(IC/G)` in `(kh, kw, c)` order, one
+/// group's stretch of an im2col patch row (`KH·KW` for a depthwise conv).
 #[derive(Debug, Clone, PartialEq)]
 pub struct IntegerWeight {
     /// Output rows (dim 0 of the source weight).
@@ -394,6 +393,8 @@ impl IntegerWeight {
         let rows = w.dims[0];
         let k: usize = w.dims[1..].iter().product();
         check_len("weights", rows * k, w.codes.len())?;
+        // Column p = c·taps + t of a conv row moves to t·(k/taps) + c.
+        let taps: usize = w.dims[2..].iter().product();
         let stride = k.next_multiple_of(LANES);
         let mut codes = vec![0i16; rows * stride];
         let mut nonzero = vec![false; rows];
@@ -406,7 +407,8 @@ impl IntegerWeight {
                 });
             }
             max_abs = max_abs.max(c.unsigned_abs());
-            codes[(i / k) * stride + i % k] = c as i16;
+            let p = i % k;
+            codes[(i / k) * stride + p % taps * (k / taps) + p / taps] = c as i16;
             nonzero[i / k] |= c != 0;
         }
         // Every product is at most 255·max_abs in magnitude, so a chunk
@@ -504,50 +506,46 @@ fn conv_out_dims(
     Ok(([n, oc, spec.out_size(h), spec.out_size(wd)], groups))
 }
 
-/// Lowers `[N, C, H, W]` activation codes (validated by
-/// [`conv_out_dims`]) to patch rows: one row of `C·K·K` codes per output
-/// position, `N·OH·OW` rows in sample, then `oh`, then `ow` order. A row
-/// is laid out channel, kernel row, kernel column — group `g`'s stretch
-/// is the order of a `[OC, C/G, K, K]` weight row — and zero-filled from
-/// `C·K·K` up to `row_len`. Padding is code 0, which adds nothing to an
-/// integer dot product. The buffer comes from `scratch`; callers give it
-/// back.
+/// Lowers `[N, C, H, W]` activation codes of a conv with `groups` groups
+/// (validated by [`conv_out_dims`]) to patch rows: one row of `C·K·K`
+/// codes per output position, `N·OH·OW` rows in sample, then `oh`, then
+/// `ow` order, zero-filled up to `kp ≥ C·K·K`. A row holds one stretch
+/// per group in `(kh, kw, c)` order, that of a weight row from
+/// [`IntegerWeight::from_packed`]. Padding is code 0, which adds nothing
+/// to an integer dot product. The buffer comes from `scratch`; callers
+/// give it back.
 fn im2col(
     x: &QuantizedActivations,
     spec: ConvSpec,
-    row_len: usize,
+    groups: usize,
+    kp: usize,
     scratch: &ScratchPool<u8>,
 ) -> Vec<u8> {
     let (n, c, h, wd) = (x.dims[0], x.dims[1], x.dims[2], x.dims[3]);
-    let (kk, st, pad) = (spec.kernel, spec.stride, spec.padding);
+    let (kk, st, pad, cg) = (spec.kernel, spec.stride, spec.padding, c / groups);
     let (oh, ow) = (spec.out_size(h), spec.out_size(wd));
-    let kp = row_len.max(c * kk * kk);
     let (ph, pw) = (h + 2 * pad, wd + 2 * pad);
     let mut cols = scratch.take(n * oh * ow * kp);
-    // Samples own disjoint contiguous ranges: task index = sample. Each
-    // task first copies its sample into a zero-bordered plane, so the
-    // gather below needs no bounds tests.
+    // Task index = sample. Each task copies its sample into a zero-bordered
+    // plane `[G, PH, PW, C/G]`, where each kernel row of a stretch is one run.
     par::par_chunks_mut(&mut cols, oh * ow * kp, |ni, _start, sample| {
         let mut plane = scratch.take_zeroed(c * ph * pw);
         let xs = &x.codes[ni * c * h * wd..(ni + 1) * c * h * wd];
-        for ci in 0..c {
-            for i in 0..h {
-                let (src, dst) = ((ci * h + i) * wd, (ci * ph + i + pad) * pw + pad);
-                plane[dst..dst + wd].copy_from_slice(&xs[src..src + wd]);
+        for (g, i) in (0..groups).flat_map(|g| (0..h).map(move |i| (g, i))) {
+            let line = &mut plane[((g * ph + i + pad) * pw + pad) * cg..][..wd * cg];
+            for (px, j) in line.chunks_exact_mut(cg).zip((g * cg * h + i) * wd..) {
+                for (v, &code) in px.iter_mut().zip(xs[j..].iter().step_by(h * wd)) {
+                    *v = code;
+                }
             }
         }
         let positions = (0..oh).flat_map(|oi| (0..ow).map(move |oj| (oi, oj)));
         for (row, (oi, oj)) in sample.chunks_exact_mut(kp).zip(positions) {
-            let (row, tail) = row.split_at_mut(c * kk * kk);
-            tail.fill(0);
-            // Segment (ci, ki) is kernel row ki of channel ci: `kk` codes
-            // of one bordered line.
-            let mut segs = row.chunks_exact_mut(kk);
-            for ci in 0..c {
-                let mut src = (ci * ph + oi * st) * pw + oj * st;
-                for seg in segs.by_ref().take(kk) {
-                    copy_seg(seg, &plane[src..]);
-                    src += pw;
+            row[c * kk * kk..].fill(0);
+            for (g, stretch) in row.chunks_exact_mut(kk * kk * cg).take(groups).enumerate() {
+                for (ki, run) in stretch.chunks_exact_mut(kk * cg).enumerate() {
+                    let src = ((g * ph + oi * st + ki) * pw + oj * st) * cg;
+                    copy_run(run, &plane[src..src + kk * cg]);
                 }
             }
         }
@@ -556,15 +554,20 @@ fn im2col(
     cols
 }
 
-/// Copies one kernel-row segment of an im2col patch. The common kernel
-/// widths get fixed-size copies rather than a `memcpy` call per segment.
+/// Copies one run of an im2col patch row. A run of 8 to 63 codes goes as
+/// two overlapping fixed-width pieces (the largest power of two that
+/// fits) in place of a variable-length `memcpy` call; others go plainly.
 #[inline(always)]
-fn copy_seg(dst: &mut [u8], src: &[u8]) {
+fn copy_run(dst: &mut [u8], src: &[u8]) {
+    fn pieces<const P: usize>(dst: &mut [u8], src: &[u8]) {
+        dst[..P].copy_from_slice(&src[..P]);
+        dst[src.len() - P..].copy_from_slice(&src[src.len() - P..]);
+    }
     match dst.len() {
-        1 => dst[0] = src[0],
-        3 => dst.copy_from_slice(&src[..3]),
-        5 => dst.copy_from_slice(&src[..5]),
-        n => dst.copy_from_slice(&src[..n]),
+        8..16 => pieces::<8>(dst, src),
+        16..32 => pieces::<16>(dst, src),
+        32..64 => pieces::<32>(dst, src),
+        _ => dst.copy_from_slice(src),
     }
 }
 
@@ -616,10 +619,7 @@ fn tile(
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
     use super::{Bodies, LANES, TILE_COLS, TILE_ROWS};
-    use std::arch::x86_64::{__m256i, _mm256_add_epi32, _mm256_castsi256_si128};
-    use std::arch::x86_64::{_mm256_cvtepu8_epi16, _mm256_extracti128_si256, _mm256_hadd_epi32};
-    use std::arch::x86_64::{_mm256_loadu_si256, _mm256_madd_epi16, _mm256_setzero_si256};
-    use std::arch::x86_64::{_mm_add_epi32, _mm_loadu_si128, _mm_storeu_si128};
+    use std::arch::x86_64::*;
 
     // The tile below holds one accumulator per output.
     const _: () = assert!(TILE_ROWS == 4 && TILE_COLS == 2 && LANES == 16);
@@ -909,7 +909,7 @@ pub fn conv2d_integer(
     // lane loop has no tail; a grouped conv's rows hold each group's
     // `w.k` columns back to back.
     let kp = if groups == 1 { w.stride } else { groups * w.k };
-    let cols = im2col(x, spec, kp, scratch);
+    let cols = im2col(x, spec, groups, kp, scratch);
     let y = gemm(&cols, n, oh * ow, kp, w, groups, w.step * x.step);
     scratch.give(cols);
     Ok(Tensor::from_vec(y, &[n, oc, oh, ow]))

@@ -141,15 +141,19 @@ fn pack(w: &PackedWeight) -> IntegerWeight {
 }
 
 /// Dense (`G = 1`), grouped (`1 < G < IC`) and depthwise (`G = IC`)
-/// convs, one in three each; the sweep checks that it met every kind,
-/// groups of `OC/G` rows that fill whole 4-row GEMM tiles and groups
-/// that leave a tail, and an odd number of output positions (a patch row
-/// without a pair).
+/// convs, one in three each; dense convs also draw the 16 and 32
+/// channels of the served 3×3 convs. The sweep checks that it met every
+/// kind, groups of `OC/G` rows that fill whole 4-row GEMM tiles and
+/// groups that leave a tail, an odd number of output positions (a patch
+/// row without a pair), and im2col runs of `K·IC/G` codes in each width
+/// class the gather copies as fixed pieces (8–15, 16–31, 32–63), outside
+/// them (a plain copy), and of the served 3×3 convs' 24, 48 and 96 codes.
 #[test]
 fn seeded_conv_sweep_matches_direct_loops_at_1_and_4_threads() {
     let scratch = ScratchPool::new();
     let mut seen = [false; 3];
     let (mut whole_tiles, mut tile_tail, mut odd_positions) = (false, false, false);
+    let mut runs = std::collections::BTreeSet::new();
     for case in 0..300u64 {
         let mut rng = Rng::new(case);
         let k = rng.pick(&[1usize, 3, 5]);
@@ -160,7 +164,11 @@ fn seeded_conv_sweep_matches_direct_loops_at_1_and_4_threads() {
         let kind = rng.range(0, 2);
         seen[kind] = true;
         let (groups, icg, ocg) = match kind {
-            0 => (1, rng.range(1, 9), rng.range(1, 18)),
+            0 => (
+                1,
+                rng.pick(&[1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 32]),
+                rng.range(1, 18),
+            ),
             1 => (rng.range(2, 3), rng.range(2, 4), rng.range(1, 3)),
             _ => (rng.range(2, 10), 1, rng.range(1, 2)),
         };
@@ -175,6 +183,7 @@ fn seeded_conv_sweep_matches_direct_loops_at_1_and_4_threads() {
         whole_tiles |= ocg.is_multiple_of(4);
         tile_tail |= !ocg.is_multiple_of(4);
         odd_positions |= spec.out_size(h) * spec.out_size(wd) % 2 == 1;
+        runs.insert(k * icg);
         for threads in [1usize, 4] {
             let got = par::with_threads(threads, || conv2d_integer(&x, &iw, spec, &scratch))
                 .expect("conv");
@@ -194,6 +203,19 @@ fn seeded_conv_sweep_matches_direct_loops_at_1_and_4_threads() {
     assert!(whole_tiles, "sweep met no (OC/G) % 4 == 0");
     assert!(tile_tail, "sweep met no (OC/G) % 4 != 0");
     assert!(odd_positions, "sweep met no odd OH·OW");
+    for (lo, hi) in [(8, 16), (16, 32), (32, 64)] {
+        assert!(
+            runs.range(lo..hi).next().is_some(),
+            "sweep met no im2col run of {lo}..{hi} codes: {runs:?}"
+        );
+    }
+    assert!(
+        runs.iter().any(|r| !(8..64).contains(r)),
+        "sweep met no run copied plainly: {runs:?}"
+    );
+    for served in [24, 48, 96] {
+        assert!(runs.contains(&served), "sweep met no {served}-code run");
+    }
 }
 
 #[test]

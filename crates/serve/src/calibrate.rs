@@ -50,11 +50,21 @@ pub struct CalibrationEntry {
     pub integer: bool,
 }
 
+/// Rejects a step that is not positive and finite: [`calibrate`] writes
+/// at least 1e-8, and any other step would compile and then fail every
+/// request.
 impl FromJson for CalibrationEntry {
     fn from_json(v: &Value, ctx: &str) -> Result<Self, String> {
+        let weight_path: String = field(v, ctx, "weight_path")?;
+        let step: f32 = field(v, ctx, "step")?;
+        if !(step.is_finite() && step > 0.0) {
+            return Err(format!(
+                "{ctx}.step: {step} for `{weight_path}` must be positive and finite"
+            ));
+        }
         Ok(CalibrationEntry {
-            weight_path: field(v, ctx, "weight_path")?,
-            step: field(v, ctx, "step")?,
+            weight_path,
+            step,
             observed_lo: field(v, ctx, "observed_lo")?,
             observed_hi: field(v, ctx, "observed_hi")?,
             integer: field(v, ctx, "integer")?,

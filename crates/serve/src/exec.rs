@@ -871,6 +871,17 @@ fn run_ops(
                 } else {
                     run_ops(ctx, shortcut, x, observer.as_deref_mut())?
                 };
+                if m.dims() != s.dims() {
+                    let first = weighted_ops(main).first().map(|&(_, w, _)| w);
+                    return Err(ServeError::Plan {
+                        detail: format!(
+                            "residual block at `{}`: main branch gives {:?}, shortcut {:?}",
+                            first.map_or("?", |w| weights[w].packed.path.as_str()),
+                            m.dims(),
+                            s.dims()
+                        ),
+                    });
+                }
                 let merged = m.add(&s);
                 run_ops(ctx, post, merged, observer.as_deref_mut())?
             }

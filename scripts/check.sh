@@ -22,7 +22,9 @@ echo "==> cargo test --workspace (every crate's unit, integration and doc tests)
 # - bit-exactness: the float GEMM and the conv forward and gradients
 #   against naive loops (csq-tensor gemm::, kernel_equivalence,
 #   kernel_equivalence_prop), the integer kernels (csq-core
-#   integer_kernels), the served model's forward_batch at 1 and 4
+#   integer_kernels; its conv sweep must meet im2col runs in every
+#   fixed-piece width class, a run copied plainly, and the served convs'
+#   24-, 48- and 96-code runs), the served model's forward_batch at 1 and 4
 #   threads and against single samples (csq-serve serve_end_to_end),
 #   training at 1 and 4 threads (parallel_determinism), and crash
 #   resume in both training phases (failure_injection);
@@ -37,8 +39,12 @@ echo "==> cargo test --workspace (every crate's unit, integration and doc tests)
 # - decoders: a committed .csqm payload and a training snapshot are each
 #   damaged 256 ways (bit flips, truncations, numeric fields set to 0,
 #   -1 and 2^40) and re-framed with a valid checksum; loading and then
-#   compiling or restoring must give Ok or a typed error, and a panic
-#   prints the seed that replays it (csqm_fuzz).
+#   compiling or restoring must give Ok or a typed error, every .csqm
+#   that compiles must answer forward_batch and forward_float with
+#   finite logits or a typed error (two fixed cases, a calibration step
+#   of 0 and residual branches of different sizes, must fail typed and
+#   name the op), and a panic prints the seed that replays it
+#   (csqm_fuzz).
 cargo test -q --workspace
 
 echo "==> flight-recorder chaos drill (postmortem must be well-formed JSONL)"

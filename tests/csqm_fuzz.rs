@@ -5,14 +5,17 @@
 //! instead of the container rejecting it. `ModelArtifact::load`
 //! followed by `compile`, and `TrainSnapshot::load` followed by
 //! `restore_model`, must then return `Ok` or a typed error, and must
-//! never panic.
+//! never panic; a model that compiles must answer `forward_batch` and
+//! `forward_float` with finite logits or a typed error.
 
 use csq_repro::csq::prelude::*;
 use csq_repro::data::{Dataset, SyntheticSpec};
 use csq_repro::nn::models::{resnet_cifar, ModelConfig};
 use csq_repro::nn::persist::{read_checksummed, write_checksummed};
-use csq_repro::serve::ModelArtifact;
+use csq_repro::serve::{ArtifactError, CompiledModel, ModelArtifact, ServeError};
+use csq_repro::tensor::par::ScratchPool;
 use csq_repro::tensor::prop::for_all;
+use csq_repro::tensor::Tensor;
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
 use std::path::Path;
@@ -103,26 +106,97 @@ impl Payload {
     }
 }
 
+/// One input of the committed artifact's shape, `[1, C, H, W]`, with
+/// values in `[-1, 1]` so that the float stem sees negatives.
+fn probe_input() -> Tensor {
+    let dims = ModelArtifact::load(Path::new(SOURCE)).unwrap().input_dims;
+    let n: usize = dims.iter().product();
+    let values = (0..n).map(|i| (i % 17) as f32 / 8.0 - 1.0).collect();
+    Tensor::from_vec(values, &[&[1][..], &dims].concat())
+}
+
+/// Both forwards of a compiled model on `x`: each gives finite logits
+/// or a typed error (a panic fails the test). Returns how many answered.
+fn answers(model: &CompiledModel, x: &Tensor) -> usize {
+    let check = |out: Result<Tensor, ServeError>| match out {
+        Ok(y) => {
+            assert!(y.iter().all(|v| v.is_finite()), "non-finite logits");
+            1
+        }
+        Err(_) => 0,
+    };
+    check(model.forward_batch(x, &ScratchPool::new())) + check(model.forward_float(x))
+}
+
 #[test]
 fn mutated_csqm_payloads_load_and_compile_without_panicking() {
     let payload = Payload::read(Path::new(SOURCE));
     assert!(payload.fields.len() > 50 && payload.elements.len() > 1000);
+    let x = probe_input();
     let path = std::env::temp_dir().join(format!("csq-fuzz-{}.csqm", std::process::id()));
-    let (mut compiled, mut rejected) = (0, 0);
+    let (mut compiled, mut rejected, mut answered) = (0, 0, 0);
     for_all(256, 0, |rng| {
         write_checksummed(&path, &payload.mutate(rng)).unwrap();
         match ModelArtifact::load(&path).and_then(|a| a.compile()) {
-            Ok(_) => compiled += 1,
+            Ok(model) => {
+                compiled += 1;
+                answered += answers(&model, &x);
+            }
             Err(_) => rejected += 1,
         }
     });
     std::fs::remove_file(&path).ok();
     // Both outcomes occur: the mutations reach `compile`, and the
-    // decoder and binder do reject damage.
+    // decoder and binder do reject damage; compiled models answer.
     assert!(
-        compiled > 0 && rejected > 0,
-        "{compiled} compiled, {rejected} rejected"
+        compiled > 0 && rejected > 0 && answered > 0,
+        "{compiled} compiled, {rejected} rejected, {answered} answers"
     );
+}
+
+/// Two damaged fields that once compiled into a model that could not
+/// answer: a calibration step of 0, which now fails to load, and
+/// `5.main.0`'s padding cut from 1 to 0, whose residual branches then
+/// disagree in size and which now fails its forwards with a plan error
+/// instead of a panic in the residual add. Both errors name the op.
+#[test]
+fn zero_step_and_mismatched_residual_are_typed_errors_naming_the_op() {
+    let text = String::from_utf8(read_checksummed(Path::new(SOURCE)).unwrap()).unwrap();
+    let edit = |from: &str, to: &str| {
+        let edited = text.replacen(from, to, 1);
+        assert_ne!(edited, text, "{from} not found");
+        let path = std::env::temp_dir().join(format!("csq-fuzz-fixed-{}.csqm", std::process::id()));
+        write_checksummed(&path, edited.as_bytes()).unwrap();
+        let loaded = ModelArtifact::load(&path);
+        std::fs::remove_file(&path).ok();
+        loaded
+    };
+    let step = "\"step\":0.026000501587986946,\"weight_path\":\"5.main.0.weight\"";
+    match edit(step, &step.replace("0.026000501587986946", "0")) {
+        Err(ArtifactError::Json(msg)) => assert!(
+            msg.contains("artifact.calibration[")
+                && msg.contains("].step")
+                && msg.contains("5.main.0.weight"),
+            "{msg}"
+        ),
+        other => panic!("expected a decode error, got {other:?}"),
+    }
+    let padding = "\"padding\":1,\"stride\":2,\"weight\":\"5.main.0.weight\"";
+    let model = edit(padding, &padding.replace("\"padding\":1", "\"padding\":0"))
+        .and_then(|a| a.compile())
+        .expect("a padding below the kernel loads and compiles");
+    let x = probe_input();
+    for out in [
+        model.forward_batch(&x, &ScratchPool::new()),
+        model.forward_float(&x),
+    ] {
+        match out {
+            Err(ServeError::Plan { detail }) => {
+                assert!(detail.contains("5.main.0.weight"), "{detail}")
+            }
+            other => panic!("expected a plan error, got {other:?}"),
+        }
+    }
 }
 
 /// A CSQ ResNet-8 at width 2, built deterministically.
