@@ -61,6 +61,7 @@
 //! panicking (lib crates are panic-free on user-reachable paths).
 
 use crate::pack::PackedWeight;
+use csq_nn::activation::quantize_activation;
 use csq_tensor::conv::ConvSpec;
 use csq_tensor::par::{self, ScratchPool};
 use csq_tensor::Tensor;
@@ -279,13 +280,13 @@ fn emit_codes(x: &[f32], step: f32, codes: &mut [u8]) {
     }
 }
 
-/// [`uniform_act_quant`]'s pass, for a checked `range` and its `step`.
-/// Forced inline like [`emit_codes`].
+/// [`uniform_act_quant`]'s pass, for a checked `range` and its `step`:
+/// the training layers' [`quantize_activation`] on every value. Forced
+/// inline like [`emit_codes`].
 #[inline(always)]
 fn act_quant(x: &mut [f32], range: f32, step: f32) {
     for v in x {
-        let c = v.clamp(0.0, range);
-        *v = (c / step).round() * step;
+        *v = quantize_activation(*v, range, step);
     }
 }
 

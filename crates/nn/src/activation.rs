@@ -3,6 +3,17 @@
 use crate::layer::{Layer, ParamMut, ParamPath, ParamRole};
 use csq_tensor::Tensor;
 
+/// One activation on the uniform grid of `step` over `[0, range]`:
+/// `round(clamp(v, 0, range)/step)·step`. [`ActQuant`], [`Pact`] and
+/// the serving plan's act-quant op all compute this one expression, so
+/// training's eval forward and a served answer agree bit for bit.
+/// Forced inline so that every caller's loop, a vector body included,
+/// compiles it in place.
+#[inline(always)]
+pub fn quantize_activation(v: f32, range: f32, step: f32) -> f32 {
+    (v.clamp(0.0, range) / step).round() * step
+}
+
 /// Rectified linear unit.
 #[derive(Debug, Default)]
 pub struct Relu {
@@ -129,10 +140,7 @@ impl Layer for ActQuant {
         let r = self.range.max(1e-6);
         let levels = (2u32.pow(bits) - 1) as f32;
         let step = r / levels;
-        let out = input.map(|v| {
-            let c = v.clamp(0.0, r);
-            (c / step).round() * step
-        });
+        let out = input.map(|v| quantize_activation(v, r, step));
         if train {
             self.pass_mask = Some(input.iter().map(|&v| (0.0..=r).contains(&v)).collect());
         } else {
@@ -254,10 +262,7 @@ impl Layer for Pact {
         let a = self.alpha.data()[0].max(1e-6);
         let levels = (2u32.pow(self.bits) - 1) as f32;
         let step = a / levels;
-        let out = input.map(|v| {
-            let c = v.clamp(0.0, a);
-            (c / step).round() * step
-        });
+        let out = input.map(|v| quantize_activation(v, a, step));
         if train {
             self.cache = Some(PactCache {
                 region: input

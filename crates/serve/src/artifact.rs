@@ -598,32 +598,74 @@ mod tests {
         }
     }
 
+    /// An artifact of `ops` over `input_dims`, with one weight of each
+    /// `(path, dims)` in `weights` (every code 1) whose calibrated grid
+    /// is integer or float.
+    fn plan(
+        input_dims: &[usize],
+        num_classes: usize,
+        ops: Vec<InferOp>,
+        weights: &[(&str, &[usize])],
+        integer: bool,
+    ) -> ModelArtifact {
+        let mut artifact = empty_artifact(CSQM_FORMAT_VERSION);
+        artifact.input_dims = input_dims.to_vec();
+        artifact.num_classes = num_classes;
+        artifact.ops = ops;
+        for &(path, dims) in weights {
+            artifact
+                .weights
+                .push(packed(path, dims, vec![1; dims.iter().product()]));
+            artifact.calibration.push(CalibrationEntry {
+                weight_path: path.to_string(),
+                step: 0.01,
+                observed_lo: if integer { 0.0 } else { -1.0 },
+                observed_hi: 2.55,
+                integer,
+            });
+        }
+        artifact
+    }
+
+    fn conv(
+        in_channels: usize,
+        out_channels: usize,
+        kernel: usize,
+        padding: usize,
+        bias: Option<Vec<f32>>,
+    ) -> InferOp {
+        InferOp::Conv2d {
+            weight: "w".to_string(),
+            in_channels,
+            out_channels,
+            kernel,
+            stride: 1,
+            padding,
+            bias,
+        }
+    }
+
+    fn linear(in_features: usize, out_features: usize, bias: Option<Vec<f32>>) -> InferOp {
+        InferOp::Linear {
+            weight: "w".to_string(),
+            in_features,
+            out_features,
+            bias,
+        }
+    }
+
     /// A conv's `[OC, IC/G, K, K]` weight must fit its channels for some
     /// group count `G`; one that fits none, a zero dim included, is a
-    /// typed bind error, and a depthwise one compiles.
+    /// typed bind error naming the op and its weight, and a depthwise
+    /// and a two-group conv compile. Each conv reads a `[4, 3, 3]`
+    /// sample and is pooled to `[OC]` logits.
     #[test]
     fn conv_weight_that_fits_no_grouping_is_a_bind_error() {
-        let conv = |dims: &[usize], in_channels, out_channels, kernel| {
-            let mut artifact = empty_artifact(CSQM_FORMAT_VERSION);
-            artifact.ops = vec![InferOp::Conv2d {
-                weight: "w".to_string(),
-                in_channels,
-                out_channels,
-                kernel,
-                stride: 1,
-                padding: 0,
-                bias: None,
-            }];
-            let n = dims.iter().product();
-            artifact.weights = vec![packed("w", dims, vec![1; n])];
-            artifact.calibration = vec![CalibrationEntry {
-                weight_path: "w".to_string(),
-                step: 0.01,
-                observed_lo: 0.0,
-                observed_hi: 2.55,
-                integer: true,
-            }];
-            artifact.compile().map(|_| ())
+        let compile = |dims: &[usize], ic, oc, k| {
+            let ops = vec![conv(ic, oc, k, 0, None), InferOp::GlobalAvgPool];
+            plan(&[4, 3, 3], oc, ops, &[("w", dims)], true)
+                .compile()
+                .map(|_| ())
         };
         for (dims, ic, oc, k) in [
             (&[4, 3, 3, 3][..], 4, 4, 3), // 3 does not divide 4
@@ -634,15 +676,121 @@ mod tests {
             (&[4, 2, 1, 1], 4, 4, 3),     // kernel disagrees
             (&[4, 2, 3], 4, 4, 3),        // rank 3
         ] {
-            match conv(dims, ic, oc, k) {
-                Err(ArtifactError::Bind(BindError::ConvShape { path, .. })) => {
-                    assert_eq!(path, "w")
+            match compile(dims, ic, oc, k) {
+                Err(ArtifactError::Bind(BindError::Shape { op, weight, reason })) => {
+                    assert_eq!((op.as_str(), weight.as_deref()), ("ops[0]", Some("w")));
+                    assert!(reason.contains("fit no grouping"), "{reason}");
                 }
-                other => panic!("{dims:?} {ic}->{oc}: expected ConvShape, got {other:?}"),
+                other => panic!("{dims:?} {ic}->{oc}: expected a shape error, got {other:?}"),
             }
         }
-        conv(&[4, 1, 3, 3], 4, 4, 3).expect("depthwise conv compiles");
-        conv(&[6, 2, 1, 1], 4, 6, 1).expect("two-group conv compiles");
+        compile(&[4, 1, 3, 3], 4, 4, 3).expect("depthwise conv compiles");
+        compile(&[6, 2, 1, 1], 4, 6, 1).expect("two-group conv compiles");
+    }
+
+    /// Plans that load but whose shapes do not fit together: each once
+    /// compiled, then panicked in a forward or answered logits of the
+    /// wrong width. Binding walks one sample's dims through the plan,
+    /// so each now fails to compile with a shape error naming the op,
+    /// its weight and what does not fit.
+    #[test]
+    fn plans_whose_shapes_do_not_fit_are_bind_errors_naming_the_op() {
+        let gap = || InferOp::GlobalAvgPool;
+        let w = Some("w");
+        let affine = InferOp::ChannelAffine {
+            scale: vec![1.0, 1.0],
+            shift: vec![0.0],
+        };
+        let max_pool = InferOp::MaxPool {
+            window: 5,
+            stride: 1,
+        };
+        let cases = [
+            (
+                "conv bias of 3 values for 4 outputs",
+                plan(
+                    &[2, 4, 4],
+                    4,
+                    vec![conv(2, 4, 3, 1, Some(vec![0.1; 3])), gap()],
+                    &[("w", &[4, 2, 3, 3])],
+                    true,
+                ),
+                ("ops[0]", w, "3 bias values for 4"),
+            ),
+            (
+                "max pool window of 5 on 4x4",
+                plan(&[1, 4, 4], 1, vec![max_pool, gap()], &[], true),
+                ("ops[0]", None, "window 5, stride 1, pad 0 misses [1, 4, 4]"),
+            ),
+            (
+                "linear on an NCHW activation",
+                plan(
+                    &[2, 2, 2],
+                    3,
+                    vec![linear(8, 3, None)],
+                    &[("w", &[3, 8])],
+                    true,
+                ),
+                ("ops[0]", w, "does not take [2, 2, 2]"),
+            ),
+            (
+                "[3, 5] linear fed 4 features, integer grid",
+                plan(&[4], 3, vec![linear(5, 3, None)], &[("w", &[3, 5])], true),
+                ("ops[0]", w, "does not take [4]"),
+            ),
+            (
+                "[3, 5] linear fed 4 features, float grid",
+                plan(&[4], 3, vec![linear(5, 3, None)], &[("w", &[3, 5])], false),
+                ("ops[0]", w, "does not take [4]"),
+            ),
+            (
+                "global average pool after a flatten",
+                plan(&[2, 2, 2], 8, vec![InferOp::Flatten, gap()], &[], true),
+                ("ops[1]", None, "does not take [8]"),
+            ),
+            (
+                "linear bias of 2 values for 3 outputs",
+                plan(
+                    &[4],
+                    3,
+                    vec![linear(4, 3, Some(vec![0.5; 2]))],
+                    &[("w", &[3, 4])],
+                    true,
+                ),
+                ("ops[0]", w, "2 bias values for 3"),
+            ),
+            (
+                "channel affine with 2 scales and 1 shift",
+                plan(&[2, 2, 2], 2, vec![affine, gap()], &[], true),
+                ("ops[0]", None, "2 scales and 1 shifts"),
+            ),
+            (
+                "float-grid 3x3 conv, padding 0, on 2x2",
+                plan(
+                    &[1, 2, 2],
+                    2,
+                    vec![conv(1, 2, 3, 0, None), gap()],
+                    &[("w", &[2, 1, 3, 3])],
+                    false,
+                ),
+                ("ops[0]", w, "window 3, stride 1, pad 0 misses [1, 2, 2]"),
+            ),
+            (
+                "3 logits for 5 declared classes",
+                plan(&[4], 5, vec![linear(4, 3, None)], &[("w", &[3, 4])], true),
+                ("ops[0]", w, "gives [3] per sample, not the 5 classes"),
+            ),
+        ];
+        for (name, artifact, (want_op, want_weight, want_reason)) in cases {
+            match artifact.compile() {
+                Err(ArtifactError::Bind(BindError::Shape { op, weight, reason })) => {
+                    assert_eq!(op, want_op, "{name}");
+                    assert_eq!(weight.as_deref(), want_weight, "{name}");
+                    assert!(reason.contains(want_reason), "{name}: {reason}");
+                }
+                other => panic!("{name}: expected a shape error, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -88,12 +88,6 @@ pub enum ServeError {
     /// An integer kernel rejected its operands (plan/weight corruption —
     /// cannot happen for a well-formed artifact).
     Kernel(QinferError),
-    /// The compiled plan is internally inconsistent (e.g. a channel
-    /// affine whose constants disagree with the activation shape).
-    Plan {
-        /// Human-readable description of the inconsistency.
-        detail: String,
-    },
 }
 
 impl std::fmt::Display for ServeError {
@@ -125,7 +119,6 @@ impl std::fmt::Display for ServeError {
             ),
             ServeError::Closed => write!(f, "engine is shut down"),
             ServeError::Kernel(e) => write!(f, "integer kernel error: {e}"),
-            ServeError::Plan { detail } => write!(f, "inconsistent inference plan: {detail}"),
         }
     }
 }
@@ -149,23 +142,14 @@ pub(crate) struct ActGrid {
     pub(crate) integer: bool,
 }
 
-impl ActGrid {
-    fn uncalibrated() -> Self {
-        ActGrid {
-            step: 1.0,
-            integer: false,
-        }
-    }
-}
-
 /// One executable op bound to its weight slot.
 #[derive(Debug, Clone)]
 enum BoundOp {
-    /// A conv whose weight `[OC, IC/G, K, K]` `bind` checked against
-    /// `in_channels`; the kernels read the group count `G` off the dims.
+    /// A conv whose `[OC, IC/G, K, K]` weight and input `bind` checked
+    /// against each other; the kernels read the group count `G` off the
+    /// dims.
     Conv {
         widx: usize,
-        in_channels: usize,
         spec: ConvSpec,
         bias: Option<Tensor>,
         grid: ActGrid,
@@ -203,15 +187,13 @@ enum BoundOp {
 }
 
 /// A packed weight plus its exact float reconstruction (for the float
-/// reference path and fallback ops) and, for integer-grid ops, the
-/// integer GEMM form built once at bind time.
+/// reference path and fallback ops) and its integer GEMM form, both
+/// built once at bind time.
 #[derive(Debug, Clone)]
 struct BoundWeight {
     packed: PackedWeight,
     float: Tensor,
-    /// `i16` code rows for the integer GEMM, present when some conv or
-    /// linear op runs this weight on the integer grid.
-    integer: Option<IntegerWeight>,
+    integer: IntegerWeight,
 }
 
 /// The kernel class one weighted op runs in one forward.
@@ -257,27 +239,27 @@ pub enum BindError {
         path: String,
     },
     /// A weight's codes cannot be bound: their count disagrees with the
-    /// dims, or an integer-grid op's weight has a code wider than the
-    /// integer GEMM's `i16` operand.
+    /// dims, the weight has no reduction axis, or a code is wider than
+    /// the integer GEMM's `i16` operand.
     Codes {
         /// The weight path.
         path: String,
         /// Why binding failed.
         error: QinferError,
     },
-    /// A conv's weight is not `[out_channels, in_channels/G, kernel,
-    /// kernel]` for any group count `G` dividing both channel counts.
-    ConvShape {
-        /// The weight path.
-        path: String,
-        /// The packed weight's dims.
-        dims: Vec<usize>,
-        /// The op's input channels.
-        in_channels: usize,
-        /// The op's output channels.
-        out_channels: usize,
-        /// The op's kernel extent.
-        kernel: usize,
+    /// An op does not fit the dims one sample reaches it with, its
+    /// weight or its own fields, or the plan does not end in
+    /// `[num_classes]`: found by walking one sample's dims from
+    /// `input_dims` through the plan.
+    Shape {
+        /// The op's plan path, e.g. `ops[5].Residual.main[0]` (`ops` for
+        /// an empty plan).
+        op: String,
+        /// A conv's or linear op's weight path; a residual block's first
+        /// main-branch weight.
+        weight: Option<String>,
+        /// What does not fit.
+        reason: String,
     },
 }
 
@@ -296,18 +278,10 @@ impl std::fmt::Display for BindError {
             BindError::Codes { path, error } => {
                 write!(f, "weight `{path}` cannot be bound: {error}")
             }
-            BindError::ConvShape {
-                path,
-                dims,
-                in_channels,
-                out_channels,
-                kernel,
-            } => write!(
-                f,
-                "conv weight `{path}` has dims {dims:?}, which fit no grouping of \
-                 {in_channels} input and {out_channels} output channels with a \
-                 {kernel}x{kernel} kernel"
-            ),
+            BindError::Shape { op, weight, reason } => match weight {
+                Some(w) => write!(f, "op `{op}` (weight `{w}`): {reason}"),
+                None => write!(f, "op `{op}`: {reason}"),
+            },
         }
     }
 }
@@ -331,6 +305,9 @@ impl CompiledModel {
     /// `calibration` (path → `ActGrid`). `calibration = None` builds an
     /// *uncalibrated* model in which every weighted op runs the float
     /// fallback — the executor the calibration pass itself uses.
+    ///
+    /// Binding is where a plan's shapes are checked
+    /// ([`BindError::Shape`]); the request path trusts them.
     pub(crate) fn bind(
         name: String,
         input_dims: Vec<usize>,
@@ -341,23 +318,26 @@ impl CompiledModel {
     ) -> Result<CompiledModel, BindError> {
         let mut weights = Vec::with_capacity(packed.len());
         for p in packed {
+            let codes_error = |error| BindError::Codes {
+                path: p.path.clone(),
+                error,
+            };
             // A damaged artifact can carry a code count that disagrees
             // with the dims; `unpack` requires them to agree.
             let expected = p.dims.iter().try_fold(1usize, |n, &d| n.checked_mul(d));
             if expected != Some(p.codes.len()) {
-                return Err(BindError::Codes {
-                    path: p.path.clone(),
-                    error: QinferError::CodeCountMismatch {
-                        what: "weights",
-                        expected: expected.unwrap_or(usize::MAX),
-                        actual: p.codes.len(),
-                    },
-                });
+                return Err(codes_error(QinferError::CodeCountMismatch {
+                    what: "weights",
+                    expected: expected.unwrap_or(usize::MAX),
+                    actual: p.codes.len(),
+                }));
             }
+            // Packed into its GEMM form once, here — never on the
+            // request path.
             weights.push(BoundWeight {
+                integer: IntegerWeight::from_packed(p).map_err(codes_error)?,
                 float: p.unpack(),
                 packed: p.clone(),
-                integer: None,
             });
         }
         let by_path: HashMap<&str, (usize, &[usize])> = weights
@@ -365,20 +345,14 @@ impl CompiledModel {
             .enumerate()
             .map(|(i, w)| (w.packed.path.as_str(), (i, &w.packed.dims[..])))
             .collect();
-        let plan = bind_ops(ops, &by_path, calibration)?;
-        // Pack integer-grid weights into their GEMM form once, here —
-        // never on the request path. A weight the integer GEMM cannot
-        // hold is a typed error.
-        for (_, widx, grid) in weighted_ops(&plan) {
-            let w = &mut weights[widx];
-            if grid.integer && w.integer.is_none() {
-                let form =
-                    IntegerWeight::from_packed(&w.packed).map_err(|error| BindError::Codes {
-                        path: w.packed.path.clone(),
-                        error,
-                    })?;
-                w.integer = Some(form);
-            }
+        let (plan, out) = bind_ops(ops, "ops", input_dims.clone(), &by_path, calibration)?;
+        if num_classes == 0 || out != [num_classes] {
+            let last = ops.len().checked_sub(1);
+            return Err(BindError::Shape {
+                op: last.map_or("ops".to_string(), |i| format!("ops[{i}]")),
+                weight: ops.last().and_then(weight_of).map(str::to_string),
+                reason: format!("the plan gives {out:?} per sample, not the {num_classes} classes"),
+            });
         }
         Ok(CompiledModel {
             name,
@@ -402,17 +376,6 @@ impl CompiledModel {
     /// Number of output classes (length of each returned logit row).
     pub fn num_classes(&self) -> usize {
         self.num_classes
-    }
-
-    /// Number of weighted ops that run on the integer kernels.
-    pub fn integer_op_count(&self) -> usize {
-        count_weighted(&self.plan, true)
-    }
-
-    /// Number of weighted ops that fall back to float arithmetic
-    /// (calibrated input range included negatives — typically the stem).
-    pub fn float_fallback_count(&self) -> usize {
-        count_weighted(&self.plan, false)
     }
 
     /// The kernel class of every weighted op, in execution order. The
@@ -461,26 +424,14 @@ impl CompiledModel {
         x: &Tensor,
         scratch: &ScratchPool<u8>,
     ) -> Result<Tensor, ServeError> {
-        self.check_batch(x)?;
-        let ctx = ExecCtx {
-            weights: &self.weights,
-            scratch,
-            integer: true,
-        };
-        run_ops(&ctx, &self.plan, x.clone(), None)
+        self.run(x, scratch, true, None)
     }
 
     /// Reference forward: identical dataflow on unpacked weights with no
     /// activation quantization. Used by calibration and accuracy-parity
     /// checks.
     pub fn forward_float(&self, x: &Tensor) -> Result<Tensor, ServeError> {
-        self.check_batch(x)?;
-        let ctx = ExecCtx {
-            weights: &self.weights,
-            scratch: &ScratchPool::new(),
-            integer: false,
-        };
-        run_ops(&ctx, &self.plan, x.clone(), None)
+        self.run(x, &ScratchPool::new(), false, None)
     }
 
     /// Float forward that also reports, for every weighted op, the
@@ -492,17 +443,29 @@ impl CompiledModel {
         x: &Tensor,
         observer: &mut dyn FnMut(&str, f32, f32),
     ) -> Result<Tensor, ServeError> {
+        let weights = &self.weights;
+        let mut by_index = |widx: usize, lo: f32, hi: f32| {
+            observer(&weights[widx].packed.path, lo, hi);
+        };
+        self.run(x, &ScratchPool::new(), false, Some(&mut by_index))
+    }
+
+    /// Checks `x` against the input shape and runs the plan on it.
+    fn run(
+        &self,
+        x: &Tensor,
+        scratch: &ScratchPool<u8>,
+        integer: bool,
+        observer: Option<&mut Observer<'_>>,
+    ) -> Result<Tensor, ServeError> {
         self.check_batch(x)?;
         let weights = &self.weights;
         let ctx = ExecCtx {
             weights,
-            scratch: &ScratchPool::new(),
-            integer: false,
+            scratch,
+            integer,
         };
-        let mut by_index = |widx: usize, lo: f32, hi: f32| {
-            observer(&weights[widx].packed.path, lo, hi);
-        };
-        run_ops(&ctx, &self.plan, x.clone(), Some(&mut by_index))
+        run_ops(&ctx, &self.plan, x.clone(), observer)
     }
 }
 
@@ -543,19 +506,15 @@ fn weighted_ops(plan: &[BoundOp]) -> Vec<(&'static str, usize, ActGrid)> {
     out
 }
 
-fn count_weighted(plan: &[BoundOp], integer: bool) -> usize {
-    weighted_ops(plan)
-        .iter()
-        .filter(|(_, _, grid)| grid.integer == integer)
-        .count()
-}
-
 fn lookup_grid(
     path: &str,
     calibration: Option<&HashMap<String, ActGrid>>,
 ) -> Result<ActGrid, BindError> {
     match calibration {
-        None => Ok(ActGrid::uncalibrated()),
+        None => Ok(ActGrid {
+            step: 1.0,
+            integer: false,
+        }),
         Some(table) => table
             .get(path)
             .copied()
@@ -581,22 +540,75 @@ fn conv_fits(dims: &[usize], in_c: usize, out_c: usize, kernel: usize) -> bool {
         && kw == kernel
 }
 
+/// The weight path of a conv or linear op.
+fn weight_of(op: &InferOp) -> Option<&str> {
+    match op {
+        InferOp::Conv2d { weight, .. } | InferOp::Linear { weight, .. } => Some(weight),
+        _ => None,
+    }
+}
+
+/// Binds the op list at plan path `at` (`ops`, `ops[5].Residual.main`),
+/// walking one sample's dims through it: `dims` enter the list, and the
+/// dims leaving it come back with the bound ops.
 fn bind_ops(
     ops: &[InferOp],
+    at: &str,
+    mut dims: Vec<usize>,
     by_path: &HashMap<&str, (usize, &[usize])>,
-    calibration: Option<&HashMap<String, ActGrid>>,
-) -> Result<Vec<BoundOp>, BindError> {
-    let resolve = |path: &str| -> Result<(usize, &[usize]), BindError> {
-        by_path
-            .get(path)
-            .copied()
-            .ok_or_else(|| BindError::MissingWeight {
-                path: path.to_string(),
-            })
-    };
+    grids: Option<&HashMap<String, ActGrid>>,
+) -> Result<(Vec<BoundOp>, Vec<usize>), BindError> {
     let mut plan = Vec::with_capacity(ops.len());
-    for op in ops {
-        let bound = match op {
+    for (i, op) in ops.iter().enumerate() {
+        let path = format!("{at}[{i}]");
+        let weight = match op {
+            InferOp::Residual { main, .. } => main.iter().find_map(weight_of),
+            _ => weight_of(op),
+        };
+        let misfit = |reason| BindError::Shape {
+            op: path.clone(),
+            weight: weight.map(str::to_string),
+            reason,
+        };
+        if dims.contains(&0) {
+            return Err(misfit(format!("it is reached by {dims:?}, a zero dim")));
+        }
+        let (widx, wdims) = match weight_of(op) {
+            Some(w) => *by_path.get(w).ok_or_else(|| BindError::MissingWeight {
+                path: w.to_string(),
+            })?,
+            None => (0, &[][..]),
+        };
+        // The extents of a `k`-wide window at stride `s` over `h` and `w`
+        // padded by `p`, checked before `ConvSpec::new` sees `k` and `s`.
+        let slide = |h: usize, w: usize, k: usize, s: usize, p: usize| {
+            let out = |n: usize| {
+                let n = n.saturating_add(p.saturating_mul(2));
+                (k > 0 && s > 0 && n >= k).then(|| (n - k) / s + 1)
+            };
+            let why = || misfit(format!("window {k}, stride {s}, pad {p} misses {dims:?}"));
+            out(h).zip(out(w)).ok_or_else(why)
+        };
+        let bias = |b: &Option<Vec<f32>>, n: usize| match b {
+            Some(b) if b.len() != n => Err(misfit(format!("{} bias values for {n}", b.len()))),
+            _ => Ok(b.as_ref().map(|b| Tensor::from_vec(b.clone(), &[n]))),
+        };
+        let branch = |ops, name, dims| {
+            let at = format!("{path}.Residual.{name}");
+            bind_ops(ops, &at, dims, by_path, grids)
+        };
+        let (bound, out) = match op {
+            InferOp::Conv2d {
+                in_channels: ic,
+                out_channels: oc,
+                kernel: k,
+                ..
+            } if !conv_fits(wdims, *ic, *oc, *k) => {
+                return Err(misfit(format!(
+                    "weight dims {wdims:?} fit no grouping of {ic} input and {oc} output \
+                     channels with a {k}x{k} kernel"
+                )));
+            }
             InferOp::Conv2d {
                 weight,
                 in_channels,
@@ -604,68 +616,86 @@ fn bind_ops(
                 kernel,
                 stride,
                 padding,
-                bias,
-            } => {
-                let (widx, dims) = resolve(weight)?;
-                if !conv_fits(dims, *in_channels, *out_channels, *kernel) {
-                    return Err(BindError::ConvShape {
-                        path: weight.clone(),
-                        dims: dims.to_vec(),
-                        in_channels: *in_channels,
-                        out_channels: *out_channels,
-                        kernel: *kernel,
-                    });
-                }
-                BoundOp::Conv {
+                bias: b,
+            } if dims.len() == 3 && dims[0] == *in_channels => {
+                let (oh, ow) = slide(dims[1], dims[2], *kernel, *stride, *padding)?;
+                let bound = BoundOp::Conv {
                     widx,
-                    in_channels: *in_channels,
                     spec: ConvSpec::new(*kernel, *stride, *padding),
-                    bias: bias
-                        .as_ref()
-                        .map(|b| Tensor::from_vec(b.clone(), &[b.len()])),
-                    grid: lookup_grid(weight, calibration)?,
-                }
+                    bias: bias(b, *out_channels)?,
+                    grid: lookup_grid(weight, grids)?,
+                };
+                (bound, vec![*out_channels, oh, ow])
             }
-            InferOp::Linear { weight, bias, .. } => BoundOp::Linear {
-                widx: resolve(weight)?.0,
-                bias: bias
-                    .as_ref()
-                    .map(|b| Tensor::from_vec(b.clone(), &[b.len()])),
-                grid: lookup_grid(weight, calibration)?,
-            },
-            InferOp::ChannelAffine { scale, shift } => BoundOp::ChannelAffine {
-                scale: scale.clone(),
-                shift: shift.clone(),
-            },
-            InferOp::Relu => BoundOp::Relu,
-            InferOp::UniformActQuant { range, levels } => BoundOp::UniformActQuant {
-                range: *range,
-                levels: *levels,
-            },
-            InferOp::MaxPool { window, stride } => BoundOp::MaxPool {
-                window: *window,
-                stride: *stride,
-            },
-            InferOp::AvgPool { window, stride } => BoundOp::AvgPool {
-                window: *window,
-                stride: *stride,
-            },
-            InferOp::GlobalAvgPool => BoundOp::GlobalAvgPool,
-            InferOp::Flatten => BoundOp::Flatten,
-            InferOp::Identity => BoundOp::Identity,
+            InferOp::Linear {
+                in_features: i,
+                out_features: o,
+                ..
+            } if wdims != [*o, *i] => {
+                return Err(misfit(format!("weight dims {wdims:?} are not [{o}, {i}]")));
+            }
+            InferOp::Linear {
+                weight,
+                in_features,
+                out_features,
+                bias: b,
+            } if dims == [*in_features] => {
+                let (bias, grid) = (bias(b, *out_features)?, lookup_grid(weight, grids)?);
+                (BoundOp::Linear { widx, bias, grid }, vec![*out_features])
+            }
+            InferOp::ChannelAffine { scale, shift } if scale.len() != shift.len() => {
+                let (a, b) = (scale.len(), shift.len());
+                return Err(misfit(format!("{a} scales and {b} shifts")));
+            }
+            InferOp::ChannelAffine { scale, shift }
+                if dims.len() == 3 && dims[0] == scale.len() =>
+            {
+                let (scale, shift) = (scale.clone(), shift.clone());
+                (BoundOp::ChannelAffine { scale, shift }, dims.clone())
+            }
+            InferOp::Relu => (BoundOp::Relu, dims.clone()),
+            &InferOp::UniformActQuant { range, levels } => {
+                (BoundOp::UniformActQuant { range, levels }, dims.clone())
+            }
+            &InferOp::MaxPool { window, stride } if dims.len() == 3 => {
+                let (oh, ow) = slide(dims[1], dims[2], window, stride, 0)?;
+                (BoundOp::MaxPool { window, stride }, vec![dims[0], oh, ow])
+            }
+            &InferOp::AvgPool { window, stride } if dims.len() == 3 => {
+                let (oh, ow) = slide(dims[1], dims[2], window, stride, 0)?;
+                (BoundOp::AvgPool { window, stride }, vec![dims[0], oh, ow])
+            }
+            InferOp::GlobalAvgPool if dims.len() == 3 => (BoundOp::GlobalAvgPool, vec![dims[0]]),
+            InferOp::Flatten => {
+                let n = dims.iter().try_fold(1usize, |n, &d| n.checked_mul(d));
+                let n = n.ok_or_else(|| misfit(format!("{dims:?} has too many values")))?;
+                (BoundOp::Flatten, vec![n])
+            }
+            InferOp::Identity => (BoundOp::Identity, dims.clone()),
             InferOp::Residual {
                 main,
                 shortcut,
                 post,
-            } => BoundOp::Residual {
-                main: bind_ops(main, by_path, calibration)?,
-                shortcut: bind_ops(shortcut, by_path, calibration)?,
-                post: bind_ops(post, by_path, calibration)?,
-            },
+            } => {
+                let (main, m) = branch(main, "main", dims.clone())?;
+                let (shortcut, s) = branch(shortcut, "shortcut", dims.clone())?;
+                if m != s {
+                    return Err(misfit(format!("main branch gives {m:?}, shortcut {s:?}")));
+                }
+                let (post, out) = branch(post, "post", m)?;
+                let bound = BoundOp::Residual {
+                    main,
+                    shortcut,
+                    post,
+                };
+                (bound, out)
+            }
+            _ => return Err(misfit(format!("it does not take {dims:?}"))),
         };
         plan.push(bound);
+        dims = out;
     }
-    Ok(plan)
+    Ok((plan, dims))
 }
 
 /// Reports the minimum and maximum of the activation tensor entering
@@ -701,9 +731,9 @@ fn profile_meta(
     let weighted = |kind: &'static str, widx: &usize, grid: &ActGrid| {
         let w = &weights[*widx];
         let choice = PathChoice::of(grid, integer);
-        let bytes = match (choice, &w.integer) {
-            (PathChoice::Integer, Some(iw)) => iw.code_bytes(),
-            _ => w.float.numel() * std::mem::size_of::<f32>(),
+        let bytes = match choice {
+            PathChoice::Integer => w.integer.code_bytes(),
+            PathChoice::Float => w.float.numel() * std::mem::size_of::<f32>(),
         };
         Some((kind, choice, bytes as u64))
     };
@@ -731,13 +761,8 @@ fn on_codes(
     scratch: &ScratchPool<u8>,
     kernel: impl FnOnce(&QuantizedActivations, &IntegerWeight) -> Result<Tensor, QinferError>,
 ) -> Result<Tensor, ServeError> {
-    // `bind` builds the GEMM form for every integer-grid op, so its
-    // absence is a plan bug.
-    let iw = w.integer.as_ref().ok_or_else(|| ServeError::Plan {
-        detail: format!("weight `{}` has no integer GEMM form", w.packed.path),
-    })?;
     let q = QuantizedActivations::quantize_with_step_into(x, grid.step, scratch.take(x.numel()))?;
-    let y = kernel(&q, iw);
+    let y = kernel(&q, &w.integer);
     scratch.give(q.codes);
     Ok(y?)
 }
@@ -783,21 +808,10 @@ fn run_ops(
         x = match op {
             BoundOp::Conv {
                 widx,
-                in_channels,
                 spec,
                 bias,
                 grid,
             } => {
-                // The group count follows from the activation's channels,
-                // so they must be the ones `bind` checked the weight for.
-                if x.rank() != 4 || x.dims()[1] != *in_channels {
-                    return Err(ServeError::Plan {
-                        detail: format!(
-                            "conv with {in_channels} input channels applied to activations {:?}",
-                            x.dims()
-                        ),
-                    });
-                }
                 observe(&mut observer, *widx, &x);
                 let w = &weights[*widx];
                 let y = match PathChoice::of(grid, integer) {
@@ -824,17 +838,7 @@ fn run_ops(
                 }
             }
             BoundOp::ChannelAffine { scale, shift } => {
-                let dims = x.dims().to_vec();
-                if dims.len() != 4 || dims[1] != scale.len() {
-                    return Err(ServeError::Plan {
-                        detail: format!(
-                            "channel affine with {} channels applied to activations {dims:?}",
-                            scale.len()
-                        ),
-                    });
-                }
-                let c = dims[1];
-                let hw = dims[2] * dims[3];
+                let (c, hw) = (scale.len(), x.dims()[2] * x.dims()[3]);
                 let mut y = x;
                 for (i, chunk) in y.data_mut().chunks_mut(hw).enumerate() {
                     let ci = i % c;
@@ -871,17 +875,6 @@ fn run_ops(
                 } else {
                     run_ops(ctx, shortcut, x, observer.as_deref_mut())?
                 };
-                if m.dims() != s.dims() {
-                    let first = weighted_ops(main).first().map(|&(_, w, _)| w);
-                    return Err(ServeError::Plan {
-                        detail: format!(
-                            "residual block at `{}`: main branch gives {:?}, shortcut {:?}",
-                            first.map_or("?", |w| weights[w].packed.path.as_str()),
-                            m.dims(),
-                            s.dims()
-                        ),
-                    });
-                }
                 let merged = m.add(&s);
                 run_ops(ctx, post, merged, observer.as_deref_mut())?
             }

@@ -111,12 +111,13 @@ fn compiled_model_reports_stem_fallback_and_integer_ops() {
     // 8-bit codes; everything after the first ReLU can.
     assert_eq!(fix.artifact.calibration[0].weight_path, "0.weight");
     assert!(!fix.artifact.calibration[0].integer);
-    assert!(compiled.float_fallback_count() >= 1);
-    assert!(compiled.integer_op_count() >= 1);
+    let plan = compiled.kernel_plan(1);
+    assert_eq!(plan.len(), fix.artifact.weights.len());
     assert_eq!(
-        compiled.integer_op_count() + compiled.float_fallback_count(),
-        fix.artifact.weights.len()
+        (plan[0].path.as_str(), plan[0].class),
+        ("0.weight", "float")
     );
+    assert!(plan[1..].iter().any(|e| e.class == "integer"));
     // Provenance rides along.
     assert_eq!(fix.artifact.scheme.layers.len(), fix.artifact.weights.len());
     assert!(fix.artifact.packed_weight_bytes() > 0);

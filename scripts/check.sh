@@ -36,15 +36,20 @@ echo "==> cargo test --workspace (every crate's unit, integration and doc tests)
 #   disk (the scan must record a typed fault and fall back to the newest
 #   healthy version); any hang, panic, or cross-model contamination
 #   fails (fleet_chaos, fleet_end_to_end);
-# - decoders: a committed .csqm payload and a training snapshot are each
-#   damaged 256 ways (bit flips, truncations, numeric fields set to 0,
-#   -1 and 2^40) and re-framed with a valid checksum; loading and then
-#   compiling or restoring must give Ok or a typed error, every .csqm
-#   that compiles must answer forward_batch and forward_float with
-#   finite logits or a typed error (two fixed cases, a calibration step
-#   of 0 and residual branches of different sizes, must fail typed and
-#   name the op), and a panic prints the seed that replays it
-#   (csqm_fuzz).
+# - decoders and the compile-time shape walk: a committed .csqm payload
+#   and a training snapshot are each damaged 256 ways (bit flips,
+#   truncations, numeric fields set to 0, -1 and 2^40) and re-framed
+#   with a valid checksum, and the decoded .csqm plan is restructured
+#   256 ways (ops removed, duplicated or swapped at any depth, a bias,
+#   scale or shift value dropped, a channel, feature or class count or
+#   an input dim moved by one); loading and then compiling or restoring
+#   must give Ok or a typed error, every .csqm that compiles must answer
+#   forward_batch and forward_float with Ok, finite logits of width
+#   num_classes (two fixed cases, a calibration step of 0 and residual
+#   branches of different sizes, must fail to load or compile and name
+#   the op), and a panic prints the seed that replays it (csqm_fuzz);
+#   hand-built plans whose shapes do not fit must each fail compile
+#   with a shape error naming the op (csq-serve artifact::tests).
 cargo test -q --workspace
 
 echo "==> flight-recorder chaos drill (postmortem must be well-formed JSONL)"
