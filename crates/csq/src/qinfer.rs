@@ -11,45 +11,40 @@
 //! y = (Σ_k w_code[k] · x_code[k]) · (w_step · x_step)
 //! ```
 //!
-//! # One integer GEMM
+//! # One integer kernel
 //!
 //! Every quantized conv (dense, grouped or depthwise) and linear layer
-//! runs as one exact integer GEMM. [`IntegerWeight::from_packed`] packs
-//! a weight's codes once, at artifact compile time, into `i16` rows (one
-//! per output channel, a conv's in `(kh, kw, c)` order) with a flag per
-//! all-zero row. At run time a conv gathers patch rows in that order, `K`
-//! runs of `K·C/G` codes per group from a zero-bordered channels-last
-//! plane (padding is code 0), a linear layer uses its code rows as they
-//! are, and each output is the dot product of one weight row with its
-//! group's stretch of one patch row (the whole row when `G = 1`), exact
-//! in any order: `i32` partial sums over K-chunks that cannot overflow
-//! ([`IntegerWeight::k_chunk`], from the weight's largest |code|), added
-//! up in `i64`, however chunked. The final `acc as f32 * scale` is the
-//! one conversion to float. Pruned filters (all-zero rows) are skipped
-//! and leave exact zeros.
-//!
-//! The GEMM runs a register tile of 4 weight rows × 2 patch rows, so
-//! each code it loads feeds 2 or 4 products. Output planes are split
-//! into tasks through [`csq_tensor::par`] by shape only, in whole blocks
-//! of 4 weight rows, and each output is one exact integer reduction, so
-//! results are bit-identical at any thread count and a sample's outputs
-//! never depend on which other samples share the batch.
+//! runs one exact integer kernel whose `i32` accumulators hold 8
+//! consecutive output channels in their lanes: no patch matrix, no sum
+//! across lanes. [`IntegerWeight::from_packed`] packs a weight once, at
+//! artifact compile time, into panels of one 16-code step per (8-channel
+//! block, tap, input-channel pair). Each sample's codes are copied once
+//! into a zero-bordered, channels-last `i16` plane. For a strip of 8
+//! output positions the kernel adds, per step, the panel times each
+//! position's channel pair at the tap's offset in the plane: one pair
+//! broadcast when the block's channels share a group, else each lane its
+//! own group's pair (depthwise: one load of 8 pairs). A 1×1 conv without
+//! padding gets a plane of only the pixels it reads; a linear layer is
+//! the one-tap case with the batch rows as positions. Each lane ends as
+//! one output's exact sum: `i32` partial sums over K-chunks that cannot
+//! overflow ([`IntegerWeight::k_chunk`]), added up in `i64`, then
+//! `sum as f32 * scale`. Tasks split the output planes by shape only
+//! ([`csq_tensor::par`]), so results are bit-identical at any thread
+//! count and a sample's outputs never depend on its batch.
 //!
 //! # Two bodies, one result
 //!
-//! The tile and the request path's two rounding passes (code emission
+//! The kernel, the plane copy and the two rounding passes (code emission
 //! in [`QuantizedActivations::quantize_with_step_into`] and
 //! [`uniform_act_quant`]) each have a portable body and an AVX2 body,
-//! all chosen together by one `is_x86_feature_detected!("avx2")` check;
-//! the build still targets baseline x86-64. The AVX2 tile holds its
-//! eight outputs in 8-lane `i32` accumulators fed by `vpmaddwd`. Integer
-//! sums are exact in any order, and each lane's share of a K-chunk is
-//! bounded by the chunk's bound, so it returns the portable body's sums.
-//! The AVX2 rounding bodies are the portable Rust expressions compiled
-//! once more with AVX2 enabled (vector divides, rounds and code packing
-//! instead of a `roundf` call and a saturating convert per element): the
-//! same IEEE operations on the same inputs (Rust neither fuses a
-//! multiply-add nor reassociates), so the same bits.
+//! chosen together by one `is_x86_feature_detected!("avx2")` check; the
+//! build still targets baseline x86-64. The AVX2 kernel's `vpmaddwd`
+//! sums are exact in any order and `vcvtdq2ps` converts an `i32` as
+//! `as f32` does; its plane copy transposes 8 × 8 blocks of the same
+//! codes. The AVX2 rounding bodies are the portable Rust expressions
+//! compiled again with AVX2 enabled: the same IEEE operations on the
+//! same inputs (Rust neither fuses a multiply-add nor reassociates). So
+//! every body gives the same bits.
 //!
 //! Two quantization entry points exist: [`QuantizedActivations::quantize`]
 //! derives the range from the tensor's own maximum (fine for one-off
@@ -106,7 +101,7 @@ pub enum QinferError {
         actual: usize,
     },
     /// A weight code is wider than the packed `i16` operand of the
-    /// integer GEMM ([`MAX_CODE`]). No shipped quantizer makes one: CSQ
+    /// integer kernel ([`MAX_CODE`]). No shipped quantizer makes one: CSQ
     /// codes stay within ±255.
     CodeOutOfRange {
         /// The offending code.
@@ -290,24 +285,30 @@ fn act_quant(x: &mut [f32], range: f32, step: f32) {
     }
 }
 
-/// Exact sums of a tile of [`TILE_ROWS`] weight rows against
-/// [`TILE_COLS`] patch rows, all of one length: `acc[r][c] =
-/// Σₚ w[r][p]·x[c][p]`, as `i32` sums over `k_chunk`-long pieces added
-/// up in `i64`.
-type Tile = fn(&[&[u8]; TILE_COLS], &[&[i16]; TILE_ROWS], usize) -> [[i64; TILE_COLS]; TILE_ROWS];
+/// Output channels per kernel block: the `i32` lanes of one 256-bit
+/// accumulator.
+const LANES: usize = 8;
 
-/// The request path's bodies: the GEMM tile and the two rounding
-/// passes.
+/// Output positions per kernel strip: one accumulator each.
+const STRIP: usize = 8;
+
+/// One strip's outputs, `tile[lane][position]`.
+type Tile = [[f32; STRIP]; LANES];
+
+/// The request path's bodies: the kernel block, the plane copy and the
+/// two rounding passes.
 #[derive(Clone, Copy)]
 struct Bodies {
-    tile: Tile,
+    block: fn(&Block<'_>, &mut [f32]),
+    plane: fn(&[u8], &mut [i16], &Plane),
     emit_codes: fn(&[f32], f32, &mut [u8]),
     act_quant: fn(&mut [f32], f32, f32),
 }
 
 /// The portable bodies: plain Rust.
 const PORTABLE: Bodies = Bodies {
-    tile,
+    block,
+    plane: fill_plane,
     emit_codes,
     act_quant,
 };
@@ -327,32 +328,23 @@ fn bodies() -> &'static Bodies {
     BODIES.get_or_init(|| avx2_bodies().unwrap_or(PORTABLE))
 }
 
-/// Largest weight-code magnitude the integer GEMM's packed `i16` operand
-/// holds. [`IntegerWeight::from_packed`] rejects wider codes with
+/// Largest weight-code magnitude the integer kernel's packed `i16`
+/// operand holds. [`IntegerWeight::from_packed`] rejects wider codes with
 /// [`QinferError::CodeOutOfRange`].
 pub const MAX_CODE: i32 = i16::MAX as i32;
 
 /// Largest activation code (activations are unsigned 8-bit codes).
 const MAX_ACT_CODE: u32 = u8::MAX as u32;
 
-/// `i32` lane sums per dot product. Conv weight and patch rows are
-/// zero-padded to a multiple of this, so the lane loop has no tail and
-/// compiles to packed multiply-adds.
-const LANES: usize = 16;
-
-/// Weight rows per GEMM tile.
-const TILE_ROWS: usize = 4;
-
-/// Patch rows per GEMM tile.
-const TILE_COLS: usize = 2;
-
-/// A weight's integer codes packed for the integer GEMM. Built once at
+/// A weight's integer codes packed for the integer kernel. Built once at
 /// artifact compile time from a [`PackedWeight`]; immutable afterwards.
 ///
 /// The reduction axis is everything after the first dim: a linear weight
-/// `[OUT, IN]` packs `IN` codes per row, and a conv weight
-/// `[OC, IC/G, KH, KW]` packs `KH·KW·(IC/G)` in `(kh, kw, c)` order, one
-/// group's stretch of an im2col patch row (`KH·KW` for a depthwise conv).
+/// `[OUT, IN]` is one tap of `IN` channels, a conv weight
+/// `[OC, IC/G, KH, KW]` is `KH·KW` taps of `IC/G` channels. Its codes
+/// are packed as panels: per block of 8 output rows, one step of 16
+/// codes per (tap, channel pair), lane `l` holding row `8b + l`'s codes
+/// for the pair (0 past a row's channels and past the last row).
 #[derive(Debug, Clone, PartialEq)]
 pub struct IntegerWeight {
     /// Output rows (dim 0 of the source weight).
@@ -363,19 +355,16 @@ pub struct IntegerWeight {
     pub step: f32,
     /// Source weight dims (kept for kernel shape validation).
     pub dims: Vec<usize>,
-    /// Row stride of `codes`: `k` rounded up to a multiple of [`LANES`].
-    stride: usize,
-    /// `rows × stride` codes, row-major, each row zero-padded past `k`.
-    codes: Vec<i16>,
-    /// Per row: does it hold any non-zero code? All-zero rows (pruned
-    /// filters) are skipped and their outputs stay exactly zero.
-    nonzero: Vec<bool>,
+    /// Channel pairs per tap: `⌈dims[1] / 2⌉`.
+    pairs: usize,
+    /// `⌈rows / 8⌉` blocks of `taps · pairs` steps of `2·LANES` codes.
+    panels: Vec<i16>,
     /// Products per `i32` partial sum (see [`IntegerWeight::k_chunk`]).
     k_chunk: usize,
 }
 
 impl IntegerWeight {
-    /// Packs a weight's codes into `i16` rows.
+    /// Packs a weight's codes into panels.
     ///
     /// # Errors
     ///
@@ -394,11 +383,8 @@ impl IntegerWeight {
         let rows = w.dims[0];
         let k: usize = w.dims[1..].iter().product();
         check_len("weights", rows * k, w.codes.len())?;
-        // Column p = c·taps + t of a conv row moves to t·(k/taps) + c.
-        let taps: usize = w.dims[2..].iter().product();
-        let stride = k.next_multiple_of(LANES);
-        let mut codes = vec![0i16; rows * stride];
-        let mut nonzero = vec![false; rows];
+        let (taps, pairs) = (w.dims[2..].iter().product::<usize>(), w.dims[1].div_ceil(2));
+        let mut panels = vec![0i16; rows.div_ceil(LANES) * taps * pairs * 2 * LANES];
         let mut max_abs = 0u32;
         for (i, &c) in w.codes.iter().enumerate() {
             if c.unsigned_abs() > MAX_CODE as u32 {
@@ -408,39 +394,40 @@ impl IntegerWeight {
                 });
             }
             max_abs = max_abs.max(c.unsigned_abs());
-            let p = i % k;
-            codes[(i / k) * stride + p % taps * (k / taps) + p / taps] = c as i16;
-            nonzero[i / k] |= c != 0;
+            // Row o, channel ch, tap t: lane o mod 8 of step (t, ch / 2)
+            // of block o / 8, first or second of the pair.
+            let (o, ch, t) = (i / k, i % k / taps, i % taps);
+            let step = (o / LANES * taps + t) * pairs + ch / 2;
+            panels[(step * LANES + o % LANES) * 2 + ch % 2] = c as i16;
         }
         // Every product is at most 255·max_abs in magnitude, so a chunk
-        // of i32::MAX / (255·max_abs) products cannot overflow `i32`;
-        // whole lane blocks keep chunk boundaries off the lane loop.
+        // of i32::MAX / (255·max_abs) products cannot overflow `i32`; an
+        // even chunk is whole steps of two products a lane.
         let k_chunk = match max_abs {
-            0 => stride,
-            m => (i32::MAX as u32 / (MAX_ACT_CODE * m)) as usize / LANES * LANES,
+            0 => 2 * taps * pairs,
+            m => (i32::MAX as u32 / (MAX_ACT_CODE * m)) as usize & !1,
         };
         Ok(IntegerWeight {
             rows,
             k,
             step: w.step,
             dims: w.dims.clone(),
-            stride,
-            codes,
-            nonzero,
-            k_chunk: k_chunk.max(LANES),
+            pairs,
+            panels,
+            k_chunk: k_chunk.max(2),
         })
     }
 
-    /// Products summed per `i32` partial sum: the largest multiple of 16
-    /// for which `255 · max|code| · k_chunk` still fits in `i32`. Partial
-    /// sums are added up in `i64`.
+    /// Products summed per `i32` partial sum: the largest even count (whole
+    /// kernel steps of two products a lane) for which `255 · max|code| ·
+    /// k_chunk` still fits in `i32`. Partial sums are added up in `i64`.
     pub fn k_chunk(&self) -> usize {
         self.k_chunk
     }
 
     /// Bytes held by the packed codes (diagnostics).
     pub fn code_bytes(&self) -> usize {
-        self.codes.len() * std::mem::size_of::<i16>()
+        self.panels.len() * std::mem::size_of::<i16>()
     }
 }
 
@@ -507,150 +494,270 @@ fn conv_out_dims(
     Ok(([n, oc, spec.out_size(h), spec.out_size(wd)], groups))
 }
 
-/// Lowers `[N, C, H, W]` activation codes of a conv with `groups` groups
-/// (validated by [`conv_out_dims`]) to patch rows: one row of `C·K·K`
-/// codes per output position, `N·OH·OW` rows in sample, then `oh`, then
-/// `ow` order, zero-filled up to `kp ≥ C·K·K`. A row holds one stretch
-/// per group in `(kh, kw, c)` order, that of a weight row from
-/// [`IntegerWeight::from_packed`]. Padding is code 0, which adds nothing
-/// to an integer dot product. The buffer comes from `scratch`; callers
-/// give it back.
-fn im2col(
+/// Where one sample's `[C, H, W]` codes (`hw = H·W` a channel) sit in its
+/// `i16` plane of `pw` pixels a row, `pix` codes a pixel: channel `c` at
+/// `c / cg · cgp + c mod cg` (`cgp` even, so a pair is one `i32`), and
+/// interior pixel `(iy, ix)` of `ih × iw`, from source pixel `(iy·sub,
+/// ix·sub)`, at `(iy + border, ix + border)`; every other code is 0.
+struct Plane {
+    c: usize,
+    cg: usize,
+    cgp: usize,
+    hw: usize,
+    w: usize,
+    ih: usize,
+    iw: usize,
+    sub: usize,
+    border: usize,
+    pw: usize,
+    pix: usize,
+}
+
+impl Plane {
+    /// Codes per plane.
+    fn len(&self) -> usize {
+        (self.ih + 2 * self.border) * self.pw * self.pix
+    }
+
+    /// Plane offset of interior pixel `q`, row-major.
+    fn at(&self, q: usize) -> usize {
+        ((q / self.iw + self.border) * self.pw + q % self.iw + self.border) * self.pix
+    }
+}
+
+/// The portable plane body: each channel's interior pixels, a row at a
+/// time.
+fn fill_plane(src: &[u8], dst: &mut [i16], p: &Plane) {
+    for (c, from) in src.chunks_exact(p.hw.max(1)).enumerate() {
+        let at = c / p.cg * p.cgp + c % p.cg;
+        for iy in 0..p.ih {
+            let to = dst[((iy + p.border) * p.pw + p.border) * p.pix + at..].iter_mut();
+            let row = from[iy * p.sub * p.w..].iter().step_by(p.sub);
+            for (t, &f) in to.step_by(p.pix).zip(row).take(p.iw) {
+                *t = f.into();
+            }
+        }
+    }
+}
+
+/// How the kernel reads a plane: the offset of each output position and
+/// each step `(tap, pair)`; output row `o`'s group at `o / ocg · cgp`.
+struct Reads {
+    pos: Vec<usize>,
+    steps: Vec<usize>,
+    ocg: usize,
+    cgp: usize,
+}
+
+/// Validates a conv ([`conv_out_dims`]) and lays out its planes. A 1×1
+/// conv without padding reads only every `stride`-th pixel, so its plane
+/// holds just those and it runs at stride 1 on it.
+fn conv_plan(
     x: &QuantizedActivations,
+    wt: &IntegerWeight,
     spec: ConvSpec,
-    groups: usize,
-    kp: usize,
-    scratch: &ScratchPool<u8>,
-) -> Vec<u8> {
-    let (n, c, h, wd) = (x.dims[0], x.dims[1], x.dims[2], x.dims[3]);
-    let (kk, st, pad, cg) = (spec.kernel, spec.stride, spec.padding, c / groups);
-    let (oh, ow) = (spec.out_size(h), spec.out_size(wd));
-    let (ph, pw) = (h + 2 * pad, wd + 2 * pad);
-    let mut cols = scratch.take(n * oh * ow * kp);
-    // Task index = sample. Each task copies its sample into a zero-bordered
-    // plane `[G, PH, PW, C/G]`, where each kernel row of a stretch is one run.
-    par::par_chunks_mut(&mut cols, oh * ow * kp, |ni, _start, sample| {
-        let mut plane = scratch.take_zeroed(c * ph * pw);
-        let xs = &x.codes[ni * c * h * wd..(ni + 1) * c * h * wd];
-        for (g, i) in (0..groups).flat_map(|g| (0..h).map(move |i| (g, i))) {
-            let line = &mut plane[((g * ph + i + pad) * pw + pad) * cg..][..wd * cg];
-            for (px, j) in line.chunks_exact_mut(cg).zip((g * cg * h + i) * wd..) {
-                for (v, &code) in px.iter_mut().zip(xs[j..].iter().step_by(h * wd)) {
-                    *v = code;
-                }
-            }
-        }
-        let positions = (0..oh).flat_map(|oi| (0..ow).map(move |oj| (oi, oj)));
-        for (row, (oi, oj)) in sample.chunks_exact_mut(kp).zip(positions) {
-            row[c * kk * kk..].fill(0);
-            for (g, stretch) in row.chunks_exact_mut(kk * kk * cg).take(groups).enumerate() {
-                for (ki, run) in stretch.chunks_exact_mut(kk * cg).enumerate() {
-                    let src = ((g * ph + oi * st + ki) * pw + oj * st) * cg;
-                    copy_run(run, &plane[src..src + kk * cg]);
-                }
-            }
-        }
-        scratch.give(plane);
+) -> Result<([usize; 4], Plane, Reads), QinferError> {
+    let (dims @ [_, oc, oh, ow], groups) = conv_out_dims(x, &wt.dims, spec)?;
+    let (c, h, w) = (x.dims[1], x.dims[2], x.dims[3]);
+    let (k, stride, (ih, iw, sub, border)) = if spec.kernel == 1 && spec.padding == 0 {
+        (1, 1, (oh, ow, spec.stride, 0))
+    } else {
+        (spec.kernel, spec.stride, (h, w, 1, spec.padding))
+    };
+    let (cg, cgp, pw) = (c / groups, 2 * wt.pairs, iw + 2 * border);
+    let (hw, pix, ocg) = (h * w, groups * cgp, oc / groups);
+    let plane = Plane {
+        c,
+        cg,
+        cgp,
+        hw,
+        w,
+        ih,
+        iw,
+        sub,
+        border,
+        pw,
+        pix,
+    };
+    let taps = (0..k * k).map(|t| (t / k * pw + t % k) * pix);
+    let steps = taps.flat_map(|t| (t..t + cgp).step_by(2));
+    let pos = (0..oh * ow).map(|q| (q / ow * pw + q % ow) * stride * pix);
+    let reads = Reads {
+        pos: pos.collect(),
+        steps: steps.collect(),
+        ocg,
+        cgp,
+    };
+    Ok((dims, plane, reads))
+}
+
+/// Copies every sample's codes into its zeroed plane, planes back to back
+/// in a buffer from `pool`.
+fn planes(b: &Bodies, x: &QuantizedActivations, p: &Plane, pool: &ScratchPool<i16>) -> Vec<i16> {
+    let mut planes = pool.take_zeroed(x.dims[0] * p.len());
+    par::par_chunks_mut(&mut planes, p.len(), |n, _, dst| {
+        (b.plane)(&x.codes[n * p.c * p.hw..][..p.c * p.hw], dst, p);
     });
-    cols
+    planes
 }
 
-/// Copies one run of an im2col patch row. A run of 8 to 63 codes goes as
-/// two overlapping fixed-width pieces (the largest power of two that
-/// fits) in place of a variable-length `memcpy` call; others go plainly.
-#[inline(always)]
-fn copy_run(dst: &mut [u8], src: &[u8]) {
-    fn pieces<const P: usize>(dst: &mut [u8], src: &[u8]) {
-        dst[..P].copy_from_slice(&src[..P]);
-        dst[src.len() - P..].copy_from_slice(&src[src.len() - P..]);
-    }
-    match dst.len() {
-        8..16 => pieces::<8>(dst, src),
-        16..32 => pieces::<16>(dst, src),
-        32..64 => pieces::<32>(dst, src),
-        _ => dst.copy_from_slice(src),
-    }
+/// One call of the kernel's block body: 8 output rows of one sample over
+/// all its positions, reading the `panel` (`2·LANES` codes a step) and
+/// the planes at `base + pos[q] + steps[s] + lanes[l]` (`base`: the
+/// sample's plane at lane 0's group; `lanes`: each lane's group from lane
+/// 0's). Live lane `l` stores its outputs at `rows[l]`; `chunk` steps
+/// make an `i32` partial sum; a unit sum is worth `scale`.
+struct Block<'a> {
+    plane: &'a [i16],
+    panel: &'a [i16],
+    steps: &'a [usize],
+    pos: &'a [usize],
+    base: usize,
+    lanes: [usize; LANES],
+    rows: [Option<usize>; LANES],
+    chunk: usize,
+    scale: f32,
 }
 
-/// Exact dot product of u8 activation codes with `i16` weight codes:
-/// `i32` sums over `k_chunk`-long pieces (none can overflow), added up
-/// in `i64`. Forced inline, with a one-chunk shortcut, because a call
-/// per output cost the served 3×3 convs about a third of their time.
-#[inline(always)]
-fn dot(x: &[u8], w: &[i16], k_chunk: usize) -> i64 {
-    if x.len() <= k_chunk {
-        return i64::from(dot_i32(x, w));
-    }
-    x.chunks(k_chunk)
-        .zip(w.chunks(k_chunk))
-        .map(|(xc, wc)| i64::from(dot_i32(xc, wc)))
-        .sum()
-}
-
-/// One `i32` partial sum: [`LANES`] lane sums the compiler keeps in
-/// vector registers, then the tail (empty for padded conv rows). No sum
-/// can exceed the chunk's total, which [`IntegerWeight::k_chunk`] bounds.
-#[inline(always)]
-fn dot_i32(x: &[u8], w: &[i16]) -> i32 {
-    let (xs, ws) = (x.chunks_exact(LANES), w.chunks_exact(LANES));
-    let tail: i32 = xs
-        .remainder()
-        .iter()
-        .zip(ws.remainder())
-        .map(|(&a, &b)| i32::from(a) * i32::from(b))
-        .sum();
-    let mut lanes = [0i32; LANES];
-    for (xb, wb) in xs.zip(ws) {
-        for ((acc, &a), &b) in lanes.iter_mut().zip(xb).zip(wb) {
-            *acc += i32::from(a) * i32::from(b);
+/// Runs a block strip by strip: `strip` gives the tile of up to 8
+/// positions (a short strip repeats its last); live lanes' rows are kept.
+fn strips(b: &Block<'_>, out: &mut [f32], mut strip: impl FnMut([usize; STRIP]) -> Tile) {
+    for q0 in (0..b.pos.len()).step_by(STRIP) {
+        let valid = STRIP.min(b.pos.len() - q0);
+        let pos = std::array::from_fn(|r| b.base + b.pos[q0 + r.min(valid - 1)]);
+        let tile = strip(pos);
+        for (row, at) in tile.iter().zip(b.rows) {
+            match at.map(|at| &mut out[at + q0..]) {
+                Some(dst) if valid == STRIP => dst[..STRIP].copy_from_slice(row),
+                Some(dst) => dst[..valid].copy_from_slice(&row[..valid]),
+                None => {}
+            }
         }
     }
-    lanes.iter().sum::<i32>() + tail
 }
 
-/// The portable tile body: one [`dot`] per output.
-fn tile(
-    x: &[&[u8]; TILE_COLS],
-    w: &[&[i16]; TILE_ROWS],
-    k_chunk: usize,
-) -> [[i64; TILE_COLS]; TILE_ROWS] {
-    w.map(|wr| x.map(|xc| dot(xc, wr, k_chunk)))
+/// The portable block body: lane `l` at position `p` adds, per step, its
+/// two panel codes times the pair at `p + step + lanes[l]`, in `i32` per
+/// K-chunk and `i64` across chunks.
+fn block(b: &Block<'_>, out: &mut [f32]) {
+    strips(b, out, |pos| {
+        let mut sums = [[0i64; STRIP]; LANES];
+        let panels = b.panel.chunks(2 * LANES * b.chunk);
+        for (steps, panel) in b.steps.chunks(b.chunk).zip(panels) {
+            let mut acc = [[0i32; STRIP]; LANES];
+            for (&off, w) in steps.iter().zip(panel.chunks_exact(2 * LANES)) {
+                for ((acc, w), &lane) in acc.iter_mut().zip(w.chunks_exact(2)).zip(&b.lanes) {
+                    for (a, &p) in acc.iter_mut().zip(&pos) {
+                        let x = &b.plane[p + off + lane..][..2];
+                        *a += i32::from(w[0]) * i32::from(x[0]) + i32::from(w[1]) * i32::from(x[1]);
+                    }
+                }
+            }
+            for (sum, a) in sums.iter_mut().flatten().zip(acc.iter().flatten()) {
+                *sum += i64::from(*a);
+            }
+        }
+        sums.map(|row| row.map(|v| v as f32 * b.scale))
+    });
+}
+
+/// The integer kernel, `[n, w.rows, pos.len()]`: `out[s, o, q] = scale ·
+/// Σ_(i, j) code(o, i, j) · x[s·P + pos[q] + steps[i] + (o / ocg)·cgp +
+/// j]` over steps `i` and pairs `j`, `P` one sample's plane. Tasks own
+/// whole output planes by shape only, rounded up to 8-row blocks.
+fn kernel(b: &Bodies, x: &[i16], n: usize, r: &Reads, w: &IntegerWeight, scale: f32) -> Vec<f32> {
+    let (m, rows, span) = (r.pos.len(), w.rows, 2 * LANES * r.steps.len());
+    let mut out = vec![0.0f32; n * rows * m];
+    let per_task = par::chunk_len(n * rows, m * span / LANES).next_multiple_of(LANES);
+    par::par_chunks_mut(&mut out, per_task * m, |_t, start, chunk| {
+        let (p0, p1) = (start / m, (start + chunk.len()) / m);
+        for s in p0 / rows..p1.div_ceil(rows) {
+            let live = p0.max(s * rows) - s * rows..p1.min(s * rows + rows) - s * rows;
+            for o0 in (live.start / LANES * LANES..live.end).step_by(LANES) {
+                let group = |l: usize| (o0 + l).min(rows - 1) / r.ocg * r.cgp;
+                let at = |l| {
+                    live.contains(&(o0 + l))
+                        .then(|| (s * rows + o0 + l - p0) * m)
+                };
+                let block = Block {
+                    plane: x,
+                    panel: &w.panels[o0 / LANES * span..][..span],
+                    steps: &r.steps,
+                    pos: &r.pos,
+                    base: s * (x.len() / n) + group(0),
+                    lanes: std::array::from_fn(|l| group(l) - group(0)),
+                    rows: std::array::from_fn(at),
+                    chunk: w.k_chunk / 2,
+                    scale,
+                };
+                (b.block)(&block, chunk);
+            }
+        }
+    });
+    out
 }
 
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    use super::{Bodies, LANES, TILE_COLS, TILE_ROWS};
+    use super::{Block, Bodies, Plane, Tile, LANES, STRIP};
     use std::arch::x86_64::*;
 
-    // The tile below holds one accumulator per output.
-    const _: () = assert!(TILE_ROWS == 4 && TILE_COLS == 2 && LANES == 16);
+    // One 8-lane accumulator per position, transposed as 8 × 8.
+    const _: () = assert!(LANES == 8 && STRIP == 8);
 
     pub(super) fn bodies() -> Option<Bodies> {
         is_x86_feature_detected!("avx2").then_some(Bodies {
-            tile,
+            block,
+            plane,
             emit_codes,
             act_quant,
         })
     }
 
     /// Only reachable through [`bodies`], which returns it after the
-    /// AVX2 check.
-    fn tile(
-        x: &[&[u8]; TILE_COLS],
-        w: &[&[i16]; TILE_ROWS],
-        k_chunk: usize,
-    ) -> [[i64; TILE_COLS]; TILE_ROWS] {
-        let len = x[0].len();
-        assert!(
-            x.iter().all(|r| r.len() == len) && w.iter().all(|r| r.len() == len),
-            "tile rows of unequal length"
-        );
-        assert!(k_chunk > 0, "empty K-chunk");
+    /// AVX2 check. A reduction longer than one K-chunk (codes wider than
+    /// any shipped quantizer makes) runs the portable body.
+    fn block(b: &Block<'_>, out: &mut [f32]) {
+        let reach = |xs: &[usize]| xs.iter().copied().max().unwrap_or(0);
+        assert_eq!(b.panel.len(), 2 * LANES * b.steps.len(), "panel length");
+        let end = b.base + reach(b.pos) + reach(b.steps) + reach(&b.lanes) + 2;
+        assert!(b.steps.is_empty() || end <= b.plane.len(), "plane reach");
+        assert!(reach(&b.lanes) <= i32::MAX as usize, "lane offset");
+        let strip: unsafe fn(&Block<'_>, [usize; STRIP]) -> Tile = match b.lanes {
+            _ if b.steps.len() > b.chunk => return super::block(b, out),
+            l if l == [0; LANES] => strip::<0>,
+            l if l == std::array::from_fn(|l| 2 * l) => strip::<1>,
+            _ => strip::<2>,
+        };
+        super::strips(b, out, |pos| {
+            // SAFETY: `bodies` hands this function out only after
+            // `is_x86_feature_detected!("avx2")` returned true; the
+            // asserts above bound every panel load by the panel's length
+            // and every plane read (a pair at `base + pos[q] + step +
+            // lanes[l]`, or lane 0's pair and the 7 after it when
+            // `lanes[l] = 2l`) by the plane's length.
+            unsafe { strip(b, pos) }
+        });
+    }
+
+    /// Only reachable through [`bodies`], which returns it after the
+    /// AVX2 check. Copies 8 × 8 blocks when each source pixel is read
+    /// (`sub == 1`) into the same plane channel (`cg == cgp`) and there
+    /// are 8 of each; else the portable body.
+    fn plane(src: &[u8], dst: &mut [i16], p: &Plane) {
+        if !(p.sub == 1 && p.cg == p.cgp && p.c >= 8 && p.hw >= 8) {
+            return super::fill_plane(src, dst, p);
+        }
+        let interior = p.ih * p.iw == p.hw && p.pw == p.iw + 2 * p.border;
+        assert!(interior && p.pix == p.c, "plane geometry");
+        assert!(src.len() == p.c * p.hw && dst.len() == p.len(), "sizes");
         // SAFETY: `bodies` hands this function out only after
-        // `is_x86_feature_detected!("avx2")` returned true, and the
-        // assert above gives every row of `x` and `w` the `len` elements
-        // that bound the kernel's loads.
-        unsafe { kernel(x, w, len, k_chunk) }
+        // `is_x86_feature_detected!("avx2")` returned true. The asserts
+        // make the `hw` source pixels the plane's interior and a pixel
+        // `c` codes, so each block's loads (8 of `c` channels, 8 of `hw`
+        // pixels) lie in `src` and its stores (8 of `c` channels of an
+        // interior pixel) in `dst`.
+        unsafe { blocks(src, dst, p) }
     }
 
     /// Only reachable through [`bodies`], which returns it after the
@@ -683,243 +790,128 @@ mod avx2 {
         super::act_quant(x, range, step)
     }
 
-    /// The tile's sums: per K-chunk, 16-deep steps into eight 8-lane
-    /// `i32` accumulators (`acc[2r + c]` for weight row `r` × patch row
-    /// `c`), the chunk's last `len % 16` codes through zero-padded
-    /// copies, then one horizontal sum per accumulator added into `i64`.
+    /// One strip's tile over one K-chunk: per step and position, `vpmaddwd`
+    /// of the panel and the lanes' pairs (`MODE` 0: one broadcast, 1: a run
+    /// of 8, 2: gathered) into an 8-lane `i32` accumulator; then convert,
+    /// scale and transpose the 8 × 8 tile (pairs, quads, halves).
     ///
     /// # Safety
     ///
-    /// The CPU must support AVX2, and every row of `x` and `w` must hold
-    /// at least `len` elements.
+    /// The CPU must support AVX2, the panel must hold `2·LANES` codes per
+    /// step, and the plane every pair the strip at `pos` reads.
     #[target_feature(enable = "avx2")]
-    unsafe fn kernel(
-        x: &[&[u8]; TILE_COLS],
-        w: &[&[i16]; TILE_ROWS],
-        len: usize,
-        k_chunk: usize,
-    ) -> [[i64; TILE_COLS]; TILE_ROWS] {
-        let mut sums = [[0i64; TILE_COLS]; TILE_ROWS];
-        let mut c0 = 0;
-        while c0 < len {
-            let c1 = len.min(c0 + k_chunk);
-            let mut acc = [_mm256_setzero_si256(); TILE_ROWS * TILE_COLS];
-            let mut p = c0;
-            while p + LANES <= c1 {
-                step(
-                    &mut acc,
-                    x.map(|r| r.as_ptr().add(p)),
-                    w.map(|r| r.as_ptr().add(p)),
-                );
-                p += LANES;
+    unsafe fn strip<const MODE: u8>(b: &Block<'_>, pos: [usize; STRIP]) -> Tile {
+        let x = pos.map(|p| b.plane.as_ptr().wrapping_add(p));
+        let idx = _mm256_loadu_si256(b.lanes.map(|l| l as i32).as_ptr().cast());
+        let mut acc = [_mm256_setzero_si256(); STRIP];
+        for (i, &off) in b.steps.iter().enumerate() {
+            let w = _mm256_loadu_si256(b.panel.as_ptr().add(2 * LANES * i).cast());
+            for (a, &p) in acc.iter_mut().zip(&x) {
+                let at = p.add(off);
+                let v = match MODE {
+                    0 => _mm256_set1_epi32(at.cast::<i32>().read_unaligned()),
+                    1 => _mm256_loadu_si256(at.cast()),
+                    _ => _mm256_i32gather_epi32::<2>(at.cast(), idx),
+                };
+                *a = _mm256_add_epi32(*a, _mm256_madd_epi16(w, v));
             }
-            if p < c1 {
-                let mut xt = [[0u8; LANES]; TILE_COLS];
-                let mut wt = [[0i16; LANES]; TILE_ROWS];
-                for (t, r) in xt.iter_mut().zip(x) {
-                    t[..c1 - p].copy_from_slice(&r[p..c1]);
-                }
-                for (t, r) in wt.iter_mut().zip(w) {
-                    t[..c1 - p].copy_from_slice(&r[p..c1]);
-                }
-                step(
-                    &mut acc,
-                    xt.each_ref().map(|t| t.as_ptr()),
-                    wt.each_ref().map(|t| t.as_ptr()),
-                );
-            }
-            let chunk = lane_sums(&acc);
-            for (i, &s) in chunk.iter().enumerate() {
-                sums[i / TILE_COLS][i % TILE_COLS] += i64::from(s);
-            }
-            c0 = c1;
         }
-        sums
+        let (scale, mut f) = (_mm256_set1_ps(b.scale), [_mm256_setzero_ps(); STRIP]);
+        for (f, a) in f.iter_mut().zip(acc) {
+            *f = _mm256_mul_ps(_mm256_cvtepi32_ps(a), scale);
+        }
+        let mut t = f;
+        for i in (0..STRIP).step_by(2) {
+            t[i] = _mm256_unpacklo_ps(f[i], f[i + 1]);
+            t[i + 1] = _mm256_unpackhi_ps(f[i], f[i + 1]);
+        }
+        // f[i] and f[i + 4] then hold lanes i and i + 4 of positions 0–3
+        // and 4–7.
+        for (i, j) in [(0, 0), (2, 1), (4, 4), (6, 5)] {
+            f[i] = _mm256_shuffle_ps::<0x44>(t[j], t[j + 2]);
+            f[i + 1] = _mm256_shuffle_ps::<0xEE>(t[j], t[j + 2]);
+        }
+        let mut tile = [[0.0f32; STRIP]; LANES];
+        for i in 0..4 {
+            let (lo, hi) = (f[i], f[i + 4]);
+            _mm256_storeu_ps(tile[i].as_mut_ptr(), _mm256_permute2f128_ps::<0x20>(lo, hi));
+            _mm256_storeu_ps(
+                tile[i + 4].as_mut_ptr(),
+                _mm256_permute2f128_ps::<0x31>(lo, hi),
+            );
+        }
+        tile
     }
 
-    /// Adds one 16-deep step into `acc`: two widening `u8 → i16` loads,
-    /// four weight loads and eight `vpmaddwd`, each pair sum exact.
+    /// The plane copy in 8 × 8 blocks of channels and pixels, the last of
+    /// each overlapping the one before: 8 widening loads of 8 codes, an
+    /// `i16` transpose (pairs, quads, halves), 8 stores of 8 codes.
     ///
     /// # Safety
     ///
-    /// The CPU must support AVX2, and every pointer must have 16
-    /// readable elements.
-    #[inline]
+    /// The CPU must support AVX2, `src` must hold `c ≥ 8` channels of
+    /// `hw ≥ 8` pixels, all interior, and `dst` be `p`'s plane, each pixel
+    /// `c` codes.
     #[target_feature(enable = "avx2")]
-    unsafe fn step(
-        acc: &mut [__m256i; TILE_ROWS * TILE_COLS],
-        x: [*const u8; TILE_COLS],
-        w: [*const i16; TILE_ROWS],
-    ) {
-        let x0 = _mm256_cvtepu8_epi16(_mm_loadu_si128(x[0].cast()));
-        let x1 = _mm256_cvtepu8_epi16(_mm_loadu_si128(x[1].cast()));
-        for (r, &wr) in w.iter().enumerate() {
-            let wv = _mm256_loadu_si256(wr.cast());
-            acc[2 * r] = _mm256_add_epi32(acc[2 * r], _mm256_madd_epi16(x0, wv));
-            acc[2 * r + 1] = _mm256_add_epi32(acc[2 * r + 1], _mm256_madd_epi16(x1, wv));
-        }
-    }
-
-    /// The total of each accumulator's eight lanes, in `acc` order: two
-    /// rounds of pairwise adds within each 128-bit half, then the halves
-    /// added.
-    ///
-    /// # Safety
-    ///
-    /// The CPU must support AVX2.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn lane_sums(acc: &[__m256i; TILE_ROWS * TILE_COLS]) -> [i32; TILE_ROWS * TILE_COLS] {
-        let mut out = [0i32; TILE_ROWS * TILE_COLS];
-        for (quad, dst) in acc.chunks_exact(4).zip(out.chunks_exact_mut(4)) {
-            let h01 = _mm256_hadd_epi32(quad[0], quad[1]);
-            let h23 = _mm256_hadd_epi32(quad[2], quad[3]);
-            let q = _mm256_hadd_epi32(h01, h23);
-            let total = _mm_add_epi32(_mm256_castsi256_si128(q), _mm256_extracti128_si256::<1>(q));
-            _mm_storeu_si128(dst.as_mut_ptr().cast(), total);
-        }
-        out
-    }
-}
-
-/// `rows` patch rows of `len` codes each, the `s`-th at
-/// `codes[s·stride..]`.
-#[derive(Clone, Copy)]
-struct PatchRows<'a> {
-    codes: &'a [u8],
-    rows: usize,
-    stride: usize,
-    len: usize,
-}
-
-impl<'a> PatchRows<'a> {
-    fn row(&self, s: usize) -> &'a [u8] {
-        &self.codes[s * self.stride..s * self.stride + self.len]
-    }
-}
-
-/// Exact sums of the weight rows `rows` (one group's) against every
-/// patch row of `x`: `store(o, s, Σₚ w[o][p]·x[s][p])` for each pair.
-/// Each block of [`TILE_ROWS`] rows runs `tile` over the patch rows in
-/// pairs (a lone last patch row is paired with itself, and one sum
-/// kept); the rows of a last, short block run [`dot`].
-fn row_sums(
-    tile: Tile,
-    w: &IntegerWeight,
-    mut rows: impl Iterator<Item = usize>,
-    x: PatchRows<'_>,
-    mut store: impl FnMut(usize, usize, i64),
-) {
-    let wrow = |o: usize| &w.codes[o * w.stride..o * w.stride + x.len];
-    loop {
-        let mut block = [0usize; TILE_ROWS];
-        let mut filled = 0;
-        for (slot, o) in block.iter_mut().zip(rows.by_ref()) {
-            *slot = o;
-            filled += 1;
-        }
-        if filled < TILE_ROWS {
-            for &o in &block[..filled] {
-                for s in 0..x.rows {
-                    store(o, s, dot(x.row(s), wrow(o), w.k_chunk));
+    unsafe fn blocks(src: &[u8], dst: &mut [i16], p: &Plane) {
+        let out = dst.as_mut_ptr();
+        for q0 in (0..p.hw).step_by(8).map(|q| q.min(p.hw - 8)) {
+            // One division per block unless its pixels span rows.
+            let (at0, row) = (p.at(q0), q0 % p.iw + 8 <= p.iw);
+            let at = |i| if row { at0 + i * p.pix } else { p.at(q0 + i) };
+            for c0 in (0..p.c).step_by(8).map(|c| c.min(p.c - 8)) {
+                let mut r = [_mm_setzero_si128(); 8];
+                for (i, r) in r.iter_mut().enumerate() {
+                    let codes = src.as_ptr().add((c0 + i) * p.hw + q0);
+                    *r = _mm_cvtepu8_epi16(_mm_loadl_epi64(codes.cast()));
                 }
-            }
-            return;
-        }
-        let ws = block.map(wrow);
-        for s in (0..x.rows).step_by(TILE_COLS) {
-            let s1 = (s + 1).min(x.rows - 1);
-            let acc = tile(&[x.row(s), x.row(s1)], &ws, w.k_chunk);
-            for (&o, [a, b]) in block.iter().zip(acc) {
-                store(o, s, a);
-                if s1 > s {
-                    store(o, s1, b);
+                let mut a = r;
+                for i in (0..8).step_by(2) {
+                    a[i] = _mm_unpacklo_epi16(r[i], r[i + 1]);
+                    a[i + 1] = _mm_unpackhi_epi16(r[i], r[i + 1]);
+                }
+                for (i, j) in [(0, 0), (2, 1), (4, 4), (6, 5)] {
+                    r[i] = _mm_unpacklo_epi32(a[j], a[j + 2]);
+                    r[i + 1] = _mm_unpackhi_epi32(a[j], a[j + 2]);
+                }
+                // r[i] and r[i + 4] hold channels 0–3 and 4–7 of pixels
+                // 2i and 2i + 1.
+                for i in 0..4 {
+                    let (lo, hi) = (r[i], r[i + 4]);
+                    let to = |px: usize| out.add(at(px) + c0).cast();
+                    _mm_storeu_si128(to(2 * i), _mm_unpacklo_epi64(lo, hi));
+                    _mm_storeu_si128(to(2 * i + 1), _mm_unpackhi_epi64(lo, hi));
                 }
             }
         }
     }
-}
-
-/// The integer GEMM behind every quantized weighted op. `patches` holds
-/// `samples · m` rows of `kp` codes; the result is `[samples, w.rows, m]`
-/// with `out[n, o, s] = dot(patch (n, s), weight row o) · scale`. With
-/// one group, row `o` reduces over the whole patch row; with `groups`
-/// groups, over its group's `w.k` columns, starting at
-/// `(o / (w.rows / groups))·w.k`.
-///
-/// Tasks own whole output planes `(n, o)`, sized by shape only and
-/// rounded up to whole blocks of [`TILE_ROWS`] planes. Within a task,
-/// the live (non-pruned) rows of each sample and group run through
-/// [`row_sums`]; pruned rows are skipped and stay exactly zero.
-fn gemm(
-    patches: &[u8],
-    samples: usize,
-    m: usize,
-    kp: usize,
-    w: &IntegerWeight,
-    groups: usize,
-    scale: f32,
-) -> Vec<f32> {
-    let len = if groups == 1 { kp } else { w.k };
-    let mut out = vec![0.0f32; samples * w.rows * m];
-    if out.is_empty() {
-        return out;
-    }
-    let tile = bodies().tile;
-    let group_rows = w.rows / groups;
-    let planes_per_task = par::chunk_len(samples * w.rows, m * len).next_multiple_of(TILE_ROWS);
-    par::par_chunks_mut(&mut out, planes_per_task * m, |_t, start, chunk| {
-        let (p0, p1) = (start / m, (start + chunk.len()) / m);
-        let mut p = p0;
-        while p < p1 {
-            // Planes p..end: one sample's rows o.. of one group.
-            let (n, o) = (p / w.rows, p % w.rows);
-            let end = p1.min(p + group_rows - o % group_rows);
-            let x = PatchRows {
-                codes: &patches[n * m * kp + o / group_rows * w.k..],
-                rows: m,
-                stride: kp,
-                len,
-            };
-            let live = (o..o + end - p).filter(|&r| w.nonzero[r]);
-            let plane = |r: usize| (n * w.rows + r - p0) * m;
-            row_sums(tile, w, live, x, |r, s, acc| {
-                chunk[plane(r) + s] = acc as f32 * scale;
-            });
-            p = end;
-        }
-    });
-    out
 }
 
 /// Integer 2-D convolution: u8 activation codes × packed integer
-/// weights as one im2col + integer GEMM, one float scale per output.
+/// weights on the integer kernel, one float scale per output.
 ///
 /// `x` is `[N, IC, H, W]` quantized activations; `w` packs a conv weight
 /// `[OC, IC/G, KH, KW]`, whose dims give the group count `G` (`G = IC`
-/// for a depthwise conv). Returns float `[N, OC, OH, OW]`. `scratch`
-/// recycles the u8 patch buffer.
+/// for a depthwise conv). Each sample is copied once into a
+/// zero-bordered channels-last plane, which the kernel reads at every
+/// tap. Returns float `[N, OC, OH, OW]`. `scratch` recycles the planes.
 pub fn conv2d_integer(
     x: &QuantizedActivations,
     w: &IntegerWeight,
     spec: ConvSpec,
-    scratch: &ScratchPool<u8>,
+    scratch: &ScratchPool<i16>,
 ) -> Result<Tensor, QinferError> {
-    let ([n, oc, oh, ow], groups) = conv_out_dims(x, &w.dims, spec)?;
-    // A dense conv's patch rows are padded like its weight rows, so the
-    // lane loop has no tail; a grouped conv's rows hold each group's
-    // `w.k` columns back to back.
-    let kp = if groups == 1 { w.stride } else { groups * w.k };
-    let cols = im2col(x, spec, groups, kp, scratch);
-    let y = gemm(&cols, n, oh * ow, kp, w, groups, w.step * x.step);
-    scratch.give(cols);
-    Ok(Tensor::from_vec(y, &[n, oc, oh, ow]))
+    let (dims, plane, reads) = conv_plan(x, w, spec)?;
+    let planes = planes(bodies(), x, &plane, scratch);
+    let y = kernel(bodies(), &planes, dims[0], &reads, w, w.step * x.step);
+    scratch.give(planes);
+    Ok(Tensor::from_vec(y, &dims))
 }
 
 /// Integer fully-connected layer: `y = codes(x) · codes(W)ᵀ · scale`, the
-/// integer GEMM with the activation rows as the patch rows of one
-/// sample (so that the tile pairs them), its `[OUT, B]` result
-/// transposed.
+/// integer kernel's one-tap case with each batch row one pixel of `IN`
+/// codes (padded to even) and the rows one sample's positions; its
+/// `[OUT, B]` result is transposed.
 ///
 /// `x` is `[B, IN]` quantized activations; `w` packs a linear weight
 /// `[OUT, IN]`. Returns float `[B, OUT]`.
@@ -927,7 +919,7 @@ pub fn linear_integer(x: &QuantizedActivations, w: &IntegerWeight) -> Result<Ten
     check_rank("activations", &x.dims, 2)?;
     check_rank("weights", &w.dims, 2)?;
     check_len("activations", x.dims[0] * x.dims[1], x.codes.len())?;
-    let (b, inf) = (x.dims[0], x.dims[1]);
+    let (b, inf, pix) = (x.dims[0], x.dims[1], 2 * w.pairs);
     if inf != w.k {
         return Err(QinferError::ShapeMismatch {
             what: "features",
@@ -935,14 +927,20 @@ pub fn linear_integer(x: &QuantizedActivations, w: &IntegerWeight) -> Result<Ten
             weight: w.k,
         });
     }
-    let yt = gemm(&x.codes, 1, b, inf, w, 1, w.step * x.step);
-    let mut y = vec![0.0f32; b * w.rows];
-    for (o, col) in yt.chunks_exact(b.max(1)).enumerate() {
-        for (bi, &v) in col.iter().enumerate() {
-            y[bi * w.rows + o] = v;
-        }
+    let mut plane = vec![0i16; b * pix];
+    for (i, &c) in x.codes.iter().enumerate() {
+        plane[i / inf * pix + i % inf] = c.into();
     }
-    Ok(Tensor::from_vec(y, &[b, w.rows]))
+    let reads = Reads {
+        pos: (0..b).map(|q| q * pix).collect(),
+        steps: (0..pix).step_by(2).collect(),
+        ocg: w.rows,
+        cgp: 0,
+    };
+    let yt = kernel(bodies(), &plane, 1, &reads, w, w.step * x.step);
+    let rows = w.rows;
+    let y = (0..yt.len()).map(|i| yt[i % rows * b + i / rows]).collect();
+    Ok(Tensor::from_vec(y, &[b, rows]))
 }
 
 #[cfg(test)]
@@ -1169,11 +1167,10 @@ mod tests {
     }
 
     #[test]
-    fn pruned_filter_fast_paths_stay_bit_exact() {
+    fn pruned_filters_give_exact_zeros() {
         // Zero an entire output filter and one input-channel slice of
-        // another; the all-zero-row skip must not change a bit of the
-        // output (a skipped dot product and a computed-zero dot product
-        // are both exactly 0.0).
+        // another: the pruned filter's lanes sum to exactly 0, so its
+        // outputs are exactly 0.0, and the rest match the float conv.
         let mut rng = ChaCha8Rng::seed_from_u64(21);
         let x = init::uniform(&[2, 3, 5, 5], 0.0, 1.0, &mut rng);
         let (mut pw, _) = packed_weight(&[4, 3, 3, 3], 22);
@@ -1185,8 +1182,7 @@ mod tests {
         let xq = QuantizedActivations::quantize(&x).unwrap();
         let spec = ConvSpec::new(3, 1, 1);
         let y = conv2d_integer(&xq, &int(&pw), spec, &ScratchPool::new()).unwrap();
-        // Dense reference computed without the fast paths: the same
-        // accumulation on a weight where "zero" is spelled explicitly.
+        // Float reference on the dequantized codes and weight.
         let y_ref = csq_tensor::conv::conv2d(&xq.dequantize(), &pw_to_tensor(&pw), spec);
         assert!(y.approx_eq(&y_ref, 1e-4));
         let per = 5 * 5;
@@ -1195,7 +1191,7 @@ mod tests {
             "pruned filter's output plane must be exactly zero"
         );
 
-        // Linear: a zero output row is skipped, not computed.
+        // Linear: a zero output row gives exact zeros.
         let (mut lw, _) = packed_weight(&[4, 8], 23);
         lw.codes[8..16].iter_mut().for_each(|c| *c = 0);
         let xl = init::uniform(&[3, 8], 0.0, 1.0, &mut rng);
@@ -1251,80 +1247,184 @@ mod tests {
         }
     }
 
-    /// `i64` sums of every `k`-long code row of `w` against every `k`-long
-    /// row of `x`, `out[o·m + s]`, by direct loops.
-    fn direct_sums(w: &PackedWeight, x: &[u8], m: usize) -> Vec<i64> {
-        let (rows, k) = (w.dims[0], w.dims[1]);
-        let mut out = Vec::with_capacity(rows * m);
-        for o in 0..rows {
-            for s in 0..m {
-                let dot = (0..k).map(|p| i64::from(x[s * k + p]) * i64::from(w.codes[o * k + p]));
-                out.push(dot.sum());
+    /// A conv by direct loops: `i64` sums of codes times the scale,
+    /// `[N, OC, OH, OW]`; output channel `o` reads the channels of its
+    /// group `o / (OC/G)`.
+    fn direct_conv(x: &QuantizedActivations, w: &PackedWeight, spec: ConvSpec) -> Vec<f32> {
+        let (n, c, h, wd) = (x.dims[0], x.dims[1], x.dims[2], x.dims[3]);
+        let (oc, cg, k) = (w.dims[0], w.dims[1], spec.kernel);
+        let (oh, ow, ocg) = (spec.out_size(h), spec.out_size(wd), oc / (c / cg));
+        let mut out = Vec::with_capacity(n * oc * oh * ow);
+        for (ni, o) in (0..n).flat_map(|ni| (0..oc).map(move |o| (ni, o))) {
+            for (oy, ox) in (0..oh).flat_map(|oy| (0..ow).map(move |ox| (oy, ox))) {
+                let mut acc = 0i64;
+                for (ci, t) in (0..cg).flat_map(|ci| (0..k * k).map(move |t| (ci, t))) {
+                    let iy = (oy * spec.stride + t / k).checked_sub(spec.padding);
+                    let ix = (ox * spec.stride + t % k).checked_sub(spec.padding);
+                    if let (Some(iy), Some(ix)) = (iy.filter(|&v| v < h), ix.filter(|&v| v < wd)) {
+                        let xc = ((ni * c + o / ocg * cg + ci) * h + iy) * wd + ix;
+                        let wc = (o * cg + ci) * k * k + t;
+                        acc += i64::from(x.codes[xc]) * i64::from(w.codes[wc]);
+                    }
+                }
+                out.push(acc as f32 * (w.step * x.step));
             }
         }
         out
     }
 
-    /// The AVX2 and portable tile bodies give the same sums through
-    /// [`row_sums`]'s full blocks and tails, over rows 1–9, patch rows
-    /// 1–5 and depths around the 16-code step, and at and past the
-    /// K-chunk with ±[`MAX_CODE`] rows against all-255 activations; each
-    /// body also equals the direct sums.
+    /// The AVX2 and portable kernel and plane bodies give the same
+    /// planes, and outputs equal to direct loops: 8-row blocks with a lane
+    /// tail, blocks whose lanes span groups (depthwise, `OC/G` of 2 and
+    /// 5), odd channel counts per group, position counts that leave a
+    /// short strip, plane copies with channel and pixel tails, the 1×1
+    /// stride-2 plane, the served 3×3 convs at 8, 16 and 32 channels,
+    /// linear depths around a pair, and ±[`MAX_CODE`] codes against
+    /// all-255 activations at and past the K-chunk.
     #[test]
-    fn avx2_and_portable_tile_bodies_agree_bit_for_bit() {
+    fn avx2_and_portable_kernel_bodies_agree_bit_for_bit() {
         let avx2 = avx2_bodies();
         if avx2.is_none() {
             println!("no AVX2 on this host: checked only the portable body");
         }
-        let check = |w: &PackedWeight, x: &[u8], m: usize, what: &str| {
-            let iw = int(w);
-            let sums = |tile: Tile| {
-                let mut out = vec![0i64; iw.rows * m];
-                let x = PatchRows {
-                    codes: x,
-                    rows: m,
-                    stride: iw.k,
-                    len: iw.k,
-                };
-                row_sums(tile, &iw, 0..iw.rows, x, |o, s, acc| out[o * m + s] = acc);
-                out
-            };
-            let want = direct_sums(w, x, m);
-            assert_eq!(sums(PORTABLE.tile), want, "portable, {what}");
-            if let Some(b) = avx2 {
-                assert_eq!(sums(b.tile), want, "AVX2, {what}");
-            }
-        };
-        let weight = |rows: usize, k: usize, codes: Vec<i32>| PackedWeight {
+        let bodies: Vec<Bodies> = std::iter::once(PORTABLE).chain(avx2).collect();
+        let weight = |dims: &[usize], codes: Vec<i32>| PackedWeight {
             path: "weight".to_string(),
             codes,
-            step: 1.0,
-            dims: vec![rows, k],
+            step: 0.5,
+            dims: dims.to_vec(),
             bits: 8.0,
         };
         let mut rng = ChaCha8Rng::seed_from_u64(31);
-        for k in [0usize, 1, 15, 16, 17, 80, 144, 288] {
-            for rows in 1..=9 {
-                for m in 1..=5 {
-                    let codes = (0..rows * k).map(|_| rng.gen_range(-255..=255)).collect();
-                    let x: Vec<u8> = (0..m * k).map(|_| rng.gen_range(0..=255u8)).collect();
-                    check(&weight(rows, k, codes), &x, m, &format!("k={k} {rows}x{m}"));
-                }
+        let mut codes = |len: usize, max: i32| -> Vec<i32> {
+            (0..len).map(|_| rng.gen_range(-max..=max)).collect()
+        };
+        let acts = |dims: &[usize], codes: Vec<i32>| QuantizedActivations {
+            codes: codes.iter().map(|&c| c.unsigned_abs() as u8).collect(),
+            step: 0.25,
+            dims: dims.to_vec(),
+        };
+        let scratch = ScratchPool::new();
+        // Each body's planes and outputs against the portable planes and
+        // direct loops.
+        let conv = |x: &QuantizedActivations, w: &PackedWeight, spec: ConvSpec| {
+            let want = direct_conv(x, w, spec);
+            let (dims, p, reads) = conv_plan(x, &int(w), spec).unwrap();
+            let plane = planes(&PORTABLE, x, &p, &scratch);
+            let what = format!("{:?} * {:?}, {spec:?}", x.dims, w.dims);
+            for b in &bodies {
+                assert_eq!(planes(b, x, &p, &scratch), plane, "plane, {what}");
+                let got = kernel(b, &plane, dims[0], &reads, &int(w), w.step * x.step);
+                assert_eq!(got, want, "{what}");
+            }
+        };
+        // (N, C, H·W side, OC, C/G, kernel, stride, padding)
+        let convs = [
+            (2, 3, 5, 5, 3, 3, 1, 1),
+            (2, 8, 6, 12, 8, 3, 1, 1),
+            (1, 12, 5, 4, 12, 3, 1, 1),
+            (2, 10, 5, 10, 1, 3, 1, 1),
+            (2, 9, 5, 6, 3, 3, 2, 1),
+            (1, 4, 7, 10, 2, 3, 1, 0),
+            (2, 5, 4, 7, 5, 5, 1, 2),
+            (2, 8, 16, 16, 8, 1, 2, 0),
+            (2, 16, 8, 32, 16, 1, 2, 0),
+            (2, 8, 16, 8, 8, 3, 1, 1),
+            (2, 16, 8, 16, 16, 3, 1, 1),
+            (2, 32, 4, 32, 32, 3, 1, 1),
+            (2, 8, 16, 16, 8, 3, 2, 1),
+        ];
+        for (n, c, side, oc, cg, k, stride, pad) in convs {
+            let x = acts(&[n, c, side, side], codes(n * c * side * side, 255));
+            let w = weight(&[oc, cg, k, k], codes(oc * cg * k * k, 255));
+            let spec = ConvSpec::new(k, stride, pad);
+            conv(&x, &w, spec);
+        }
+        // Linear depths as 1×1 convs over one-pixel samples, and an empty
+        // reduction through the linear layer.
+        let one = ConvSpec::new(1, 1, 0);
+        for k in [1usize, 2, 15, 16, 17, 144, 288] {
+            for (rows, batch) in [(1, 1), (3, 5), (8, 8), (9, 9), (17, 3)] {
+                let w = weight(&[rows, k, 1, 1], codes(rows * k, 255));
+                conv(&acts(&[batch, k, 1, 1], codes(batch * k, 255)), &w, one);
             }
         }
-        let chunk = int(&weight(1, 1, vec![MAX_CODE])).k_chunk();
-        for k in [chunk, chunk + 1, 2 * chunk + 3] {
-            for code in [MAX_CODE, -MAX_CODE] {
-                // Rows alternate sign, so every tile holds both extremes.
-                let codes = (0..5 * k).map(|i| [code, -code][i / k % 2]).collect();
-                check(
-                    &weight(5, k, codes),
-                    &vec![255; 3 * k],
-                    3,
-                    &format!("k={k} code={code}"),
+        let empty = linear_integer(&acts(&[2, 0], vec![]), &int(&weight(&[3, 0], vec![])));
+        assert_eq!(empty.unwrap().data(), &[0.0; 6]);
+        let chunk = int(&weight(&[1, 1], vec![MAX_CODE])).k_chunk();
+        for code in [MAX_CODE, -MAX_CODE] {
+            for k in [chunk, chunk + 1, 2 * chunk + 3] {
+                // Rows alternate sign, so every block holds both extremes.
+                let w = (0..9 * k).map(|i| [code, -code][i / k % 2]).collect();
+                let x = acts(&[3, k, 1, 1], vec![255; 3 * k]);
+                conv(&x, &weight(&[9, k, 1, 1], w), one);
+            }
+            let c = (chunk + 1).div_ceil(9);
+            let w = weight(&[5, c, 3, 3], vec![code; 5 * c * 9]);
+            conv(
+                &acts(&[1, c, 3, 3], vec![255; c * 9]),
+                &w,
+                ConvSpec::new(3, 1, 1),
+            );
+        }
+    }
+
+    /// Times the integer conv's phases per batch-8 call at the served
+    /// ResNet-20 shapes on one thread and prints medians over interleaved
+    /// calls: code emission, the plane build, and the kernel with its
+    /// store. Run it with
+    /// `cargo test --release -p csq-core --lib phase_probe -- --ignored --nocapture`.
+    #[test]
+    #[ignore]
+    fn phase_probe() {
+        use std::time::Instant;
+        // (channels in, out, input side, kernel, stride)
+        let shapes = [
+            (8, 8, 16, 3, 1),
+            (16, 16, 8, 3, 1),
+            (32, 32, 4, 3, 1),
+            (8, 16, 16, 3, 2),
+            (16, 32, 8, 3, 2),
+            (8, 16, 16, 1, 2),
+            (16, 32, 8, 1, 2),
+        ];
+        let mut rng = ChaCha8Rng::seed_from_u64(5);
+        let (pool, calls) = (ScratchPool::new(), 400);
+        println!("phase probe: batch 8, 1 thread, median µs of {calls} calls");
+        par::with_threads(1, || {
+            for (ic, oc, side, k, stride) in shapes {
+                let x = init::uniform(&[8, ic, side, side], 0.0, 1.0, &mut rng);
+                let w = int(&packed_weight(&[oc, ic, k, k], 5).0);
+                let spec = ConvSpec::new(k, stride, k / 2);
+                let mut times = [Vec::new(), Vec::new(), Vec::new()];
+                let mut buf = Vec::new();
+                for _ in 0..calls {
+                    let t0 = Instant::now();
+                    let q = QuantizedActivations::quantize_with_step_into(&x, 0.004, buf).unwrap();
+                    let t1 = Instant::now();
+                    let (dims, plane, reads) = conv_plan(&q, &w, spec).unwrap();
+                    let p = planes(bodies(), &q, &plane, &pool);
+                    let t2 = Instant::now();
+                    let y = kernel(bodies(), &p, dims[0], &reads, &w, w.step * q.step);
+                    let t3 = Instant::now();
+                    std::hint::black_box(y);
+                    pool.give(p);
+                    buf = q.codes;
+                    for (t, (a, b)) in times.iter_mut().zip([(t0, t1), (t1, t2), (t2, t3)]) {
+                        t.push((b - a).as_secs_f64() * 1e6);
+                    }
+                }
+                let [emit, plane, kernel] = times.map(|mut t| {
+                    t.sort_by(f64::total_cmp);
+                    t[t.len() / 2]
+                });
+                println!(
+                    "{k}x{k}/{stride} {ic:>2}->{oc:>2} at {side:>2}²: emission {emit:6.1}  \
+                     plane {plane:6.1}  kernel+store {kernel:6.1}  total {:6.1}",
+                    emit + plane + kernel
                 );
             }
-        }
+        });
     }
 
     /// The AVX2 and portable rounding bodies give the same codes and the

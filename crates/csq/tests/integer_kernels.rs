@@ -1,15 +1,15 @@
-//! Bit-exactness of the integer GEMM kernels (`conv2d_integer`,
+//! Bit-exactness of the integer kernels (`conv2d_integer`,
 //! `linear_integer`) against direct-loop `i64` references kept in this
 //! file.
 //!
 //! A seeded sweep covers 1×1, 3×3 and 5×5 kernels, strides 1–2, padding
 //! 0–2, dense, grouped and depthwise convs, channel and feature counts
-//! that are not tile multiples, batches 1–4 and all-zero filters, at 1
-//! and 4 threads; fixed cases drive
-//! 255 × ±255 operands (and the widest packable codes) to and past the
-//! K-chunk boundary where `i32` partial sums are handed to `i64`, through
-//! full 4-row × 2-patch-row GEMM tiles and their tails. Uses only std and
-//! the workspace crates, so it builds offline.
+//! that are not multiples of the kernel's 8-channel blocks, 8-position
+//! strips or channel pairs, batches 1–4 and all-zero filters, at 1 and 4
+//! threads; fixed cases drive 255 × ±255 operands (and the widest
+//! packable codes) to and past the K-chunk boundary where `i32` partial
+//! sums are handed to `i64`, through the linear layer and the conv. Uses
+//! only std and the workspace crates, so it builds offline.
 
 use csq_core::pack::PackedWeight;
 use csq_core::qinfer::{
@@ -140,20 +140,34 @@ fn pack(w: &PackedWeight) -> IntegerWeight {
     IntegerWeight::from_packed(w).expect("packable codes")
 }
 
+/// The conv cases the kernel treats apart, which the sweep must meet.
+const CLASSES: [&str; 9] = [
+    "a lane tail",
+    "a depthwise block",
+    "lanes spanning groups with 1 < OC/G < 8",
+    "an odd channel count per group",
+    "a short strip",
+    "a 1x1 stride-2 conv",
+    "the served 3x3 conv at 8 channels",
+    "the served 3x3 conv at 16 channels",
+    "the served 3x3 conv at 32 channels",
+];
+
 /// Dense (`G = 1`), grouped (`1 < G < IC`) and depthwise (`G = IC`)
-/// convs, one in three each; dense convs also draw the 16 and 32
+/// convs, one in three each; dense convs also draw the 8, 16 and 32
 /// channels of the served 3×3 convs. The sweep checks that it met every
-/// kind, groups of `OC/G` rows that fill whole 4-row GEMM tiles and
-/// groups that leave a tail, an odd number of output positions (a patch
-/// row without a pair), and im2col runs of `K·IC/G` codes in each width
-/// class the gather copies as fixed pieces (8–15, 16–31, 32–63), outside
-/// them (a plain copy), and of the served 3×3 convs' 24, 48 and 96 codes.
+/// kind and each case the kernel treats apart: an `OC/G` that is not a
+/// multiple of 8 (a block with idle lanes), 8-channel blocks whose lanes
+/// span groups (depthwise, and `1 < OC/G < 8`), an odd channel count per
+/// group (a pair padded with a zero channel), an output count per sample
+/// that leaves a short 8-position strip, a 1×1 stride-2 conv without
+/// padding (a plane of only the pixels it reads), and the served 3×3
+/// convs at 8, 16 and 32 channels.
 #[test]
 fn seeded_conv_sweep_matches_direct_loops_at_1_and_4_threads() {
     let scratch = ScratchPool::new();
     let mut seen = [false; 3];
-    let (mut whole_tiles, mut tile_tail, mut odd_positions) = (false, false, false);
-    let mut runs = std::collections::BTreeSet::new();
+    let mut met = std::collections::BTreeSet::new();
     for case in 0..300u64 {
         let mut rng = Rng::new(case);
         let k = rng.pick(&[1usize, 3, 5]);
@@ -180,10 +194,19 @@ fn seeded_conv_sweep_matches_direct_loops_at_1_and_4_threads() {
         let w = weight(&mut rng, &[oc, icg, k, k], max);
         let want = conv_ref(&x, &w, spec);
         let iw = pack(&w);
-        whole_tiles |= ocg.is_multiple_of(4);
-        tile_tail |= !ocg.is_multiple_of(4);
-        odd_positions |= spec.out_size(h) * spec.out_size(wd) % 2 == 1;
-        runs.insert(k * icg);
+        let positions = spec.out_size(h) * spec.out_size(wd);
+        let hits = [
+            !ocg.is_multiple_of(8),
+            groups > 1 && icg == 1 && ocg == 1,
+            groups > 1 && (2..8).contains(&ocg),
+            !icg.is_multiple_of(2),
+            !positions.is_multiple_of(8),
+            (k, stride, padding) == (1, 2, 0),
+            (k, groups, icg) == (3, 1, 8),
+            (k, groups, icg) == (3, 1, 16),
+            (k, groups, icg) == (3, 1, 32),
+        ];
+        met.extend(CLASSES.iter().zip(hits).filter(|c| c.1).map(|c| *c.0));
         for threads in [1usize, 4] {
             let got = par::with_threads(threads, || conv2d_integer(&x, &iw, spec, &scratch))
                 .expect("conv");
@@ -200,21 +223,8 @@ fn seeded_conv_sweep_matches_direct_loops_at_1_and_4_threads() {
         }
     }
     assert!(seen.iter().all(|&s| s), "sweep missed a grouping: {seen:?}");
-    assert!(whole_tiles, "sweep met no (OC/G) % 4 == 0");
-    assert!(tile_tail, "sweep met no (OC/G) % 4 != 0");
-    assert!(odd_positions, "sweep met no odd OH·OW");
-    for (lo, hi) in [(8, 16), (16, 32), (32, 64)] {
-        assert!(
-            runs.range(lo..hi).next().is_some(),
-            "sweep met no im2col run of {lo}..{hi} codes: {runs:?}"
-        );
-    }
-    assert!(
-        runs.iter().any(|r| !(8..64).contains(r)),
-        "sweep met no run copied plainly: {runs:?}"
-    );
-    for served in [24, 48, 96] {
-        assert!(runs.contains(&served), "sweep met no {served}-code run");
+    for class in CLASSES {
+        assert!(met.contains(class), "sweep met no case of {class}: {met:?}");
     }
 }
 
@@ -264,9 +274,10 @@ fn k_chunk_keeps_every_i32_partial_sum_in_range() {
         let (_, w) = extreme(4, 1, 1, max);
         let chunk = pack(&w).k_chunk() as i64;
         let per = 255 * i64::from(max);
-        assert_eq!(chunk % 16, 0, "max={max}");
+        // A chunk is whole kernel steps of one channel pair (2 products).
+        assert_eq!(chunk % 2, 0, "max={max}");
         assert!(per * chunk <= i64::from(i32::MAX), "max={max}");
-        assert!(per * (chunk + 16) > i64::from(i32::MAX), "max={max}");
+        assert!(per * (chunk + 2) > i64::from(i32::MAX), "max={max}");
     }
 }
 
@@ -278,8 +289,8 @@ fn extreme_operands_stay_exact_at_and_past_the_k_chunk_boundary() {
         for k in [chunk - 1, chunk, chunk + 1, 2 * chunk + 3] {
             // Rows of all `code` (positive) or alternating sign
             // (negative): sums that overflow `i32` unless chunked. Five
-            // rows against three activation rows fill one 4×2 GEMM tile
-            // and leave a row tail and an unpaired activation row.
+            // rows against three activation rows: one 8-channel block
+            // with idle lanes, one short strip of positions.
             let (x, w) = extreme(k, 5, 3, code);
             let want = linear_ref(&x, &w);
             let iw = pack(&w);

@@ -692,10 +692,20 @@ mod tests {
     /// compiled, then panicked in a forward or answered logits of the
     /// wrong width. Binding walks one sample's dims through the plan,
     /// so each now fails to compile with a shape error naming the op,
-    /// its weight and what does not fit.
+    /// its weight and what does not fit. The last three are built in
+    /// memory with a value the `.csqm` decoders refuse in a file (a
+    /// calibration step of 0, an act-quant range of 0, a padding as
+    /// wide as the kernel): each compiled, then failed every integer
+    /// forward, and is now a field error naming the op.
     #[test]
     fn plans_whose_shapes_do_not_fit_are_bind_errors_naming_the_op() {
         let gap = || InferOp::GlobalAvgPool;
+        let mut zero_step = plan(&[4], 3, vec![linear(4, 3, None)], &[("w", &[3, 4])], true);
+        zero_step.calibration[0].step = 0.0;
+        let act_quant = InferOp::UniformActQuant {
+            range: 0.0,
+            levels: 15.0,
+        };
         let w = Some("w");
         let affine = InferOp::ChannelAffine {
             scale: vec![1.0, 1.0],
@@ -780,10 +790,38 @@ mod tests {
                 plan(&[4], 5, vec![linear(4, 3, None)], &[("w", &[3, 4])], true),
                 ("ops[0]", w, "gives [3] per sample, not the 5 classes"),
             ),
+            (
+                "[4] -> 3 linear with calibration step 0",
+                zero_step,
+                (
+                    "ops[0]",
+                    w,
+                    "calibration step 0 must be positive and finite",
+                ),
+            ),
+            (
+                "a lone act-quant of range 0",
+                plan(&[4], 4, vec![act_quant], &[], true),
+                ("ops[0]", None, "range 0 and levels 15 must be positive"),
+            ),
+            (
+                "3x3 conv padded by 3",
+                plan(
+                    &[1, 2, 2],
+                    2,
+                    vec![conv(1, 2, 3, 3, None), gap()],
+                    &[("w", &[2, 1, 3, 3])],
+                    true,
+                ),
+                ("ops[0]", w, "padding 3 must be smaller than the kernel (3)"),
+            ),
         ];
         for (name, artifact, (want_op, want_weight, want_reason)) in cases {
             match artifact.compile() {
-                Err(ArtifactError::Bind(BindError::Shape { op, weight, reason })) => {
+                Err(ArtifactError::Bind(
+                    BindError::Shape { op, weight, reason }
+                    | BindError::Field { op, weight, reason },
+                )) => {
                     assert_eq!(op, want_op, "{name}");
                     assert_eq!(weight.as_deref(), want_weight, "{name}");
                     assert!(reason.contains(want_reason), "{name}: {reason}");

@@ -8,14 +8,15 @@
 //! * **Integer mode** ([`CompiledModel::forward_batch`]) — the deployment
 //!   path. Inputs to each weighted op are quantized to 8-bit codes with
 //!   that op's *calibrated* step, and every conv (dense, grouped or
-//!   depthwise) and linear op runs the one exact integer GEMM: im2col u8
-//!   patch rows
-//!   against `i16` weight rows packed once at bind time as an
-//!   [`IntegerWeight`], exact `i32`/`i64` sums, one float scale per
-//!   output. Nothing is selected per request. Ops whose calibrated input
-//!   range dips below zero (the raw-image stem) fall back to exact float
-//!   arithmetic on the unpacked weights — the standard "keep the first
-//!   layer in higher precision" deployment practice.
+//!   depthwise) and linear op runs the one exact integer kernel: each
+//!   sample's codes are copied once into a channels-last `i16` plane,
+//!   read at every tap against weight panels packed once at bind time
+//!   as an [`IntegerWeight`] (8 output channels per vector), exact
+//!   `i32`/`i64` sums, one float scale per output. Nothing is selected
+//!   per request. Ops whose calibrated input range dips below zero (the
+//!   raw-image stem) fall back to exact float arithmetic on the unpacked
+//!   weights — the standard "keep the first layer in higher precision"
+//!   deployment practice.
 //! * **Float mode** ([`CompiledModel::forward_float`]) — the reference
 //!   path used by calibration and accuracy-parity checks: identical
 //!   dataflow, unpacked (bit-exact) weights, no activation quantization.
@@ -187,7 +188,7 @@ enum BoundOp {
 }
 
 /// A packed weight plus its exact float reconstruction (for the float
-/// reference path and fallback ops) and its integer GEMM form, both
+/// reference path and fallback ops) and its integer-kernel panels, both
 /// built once at bind time.
 #[derive(Debug, Clone)]
 struct BoundWeight {
@@ -201,12 +202,12 @@ struct BoundWeight {
 enum PathChoice {
     /// Exact float arithmetic on the unpacked weight.
     Float,
-    /// The integer GEMM on quantized codes.
+    /// The integer kernel on quantized codes.
     Integer,
 }
 
 impl PathChoice {
-    /// The integer GEMM for an integer-grid op of an integer forward,
+    /// The integer kernel for an integer-grid op of an integer forward,
     /// exact float arithmetic otherwise.
     fn of(grid: &ActGrid, integer: bool) -> PathChoice {
         if integer && grid.integer {
@@ -240,7 +241,7 @@ pub enum BindError {
     },
     /// A weight's codes cannot be bound: their count disagrees with the
     /// dims, the weight has no reduction axis, or a code is wider than
-    /// the integer GEMM's `i16` operand.
+    /// the integer kernel's `i16` operand.
     Codes {
         /// The weight path.
         path: String,
@@ -261,6 +262,19 @@ pub enum BindError {
         /// What does not fit.
         reason: String,
     },
+    /// An op's own value is one no kernel takes: a calibration step, or
+    /// an act-quant range or level count, that is not positive and
+    /// finite, or a conv padding not smaller than its kernel. The
+    /// `.csqm` decoders refuse the same values in a file; this catches
+    /// an artifact built in memory.
+    Field {
+        /// The op's plan path, e.g. `ops[2]`.
+        op: String,
+        /// A conv's or linear op's weight path.
+        weight: Option<String>,
+        /// Which value, and why it is refused.
+        reason: String,
+    },
 }
 
 impl std::fmt::Display for BindError {
@@ -278,10 +292,12 @@ impl std::fmt::Display for BindError {
             BindError::Codes { path, error } => {
                 write!(f, "weight `{path}` cannot be bound: {error}")
             }
-            BindError::Shape { op, weight, reason } => match weight {
-                Some(w) => write!(f, "op `{op}` (weight `{w}`): {reason}"),
-                None => write!(f, "op `{op}`: {reason}"),
-            },
+            BindError::Shape { op, weight, reason } | BindError::Field { op, weight, reason } => {
+                match weight {
+                    Some(w) => write!(f, "op `{op}` (weight `{w}`): {reason}"),
+                    None => write!(f, "op `{op}`: {reason}"),
+                }
+            }
         }
     }
 }
@@ -463,6 +479,7 @@ impl CompiledModel {
         let ctx = ExecCtx {
             weights,
             scratch,
+            planes: ScratchPool::new(),
             integer,
         };
         run_ops(&ctx, &self.plan, x.clone(), observer)
@@ -477,7 +494,7 @@ pub struct KernelPlanEntry {
     pub path: String,
     /// Op kind: `conv2d` (dense, grouped or depthwise) or `linear`.
     pub op: &'static str,
-    /// Kernel class: `integer` (the integer GEMM) or `float` (the exact
+    /// Kernel class: `integer` (the integer kernel) or `float` (the exact
     /// float fallback).
     pub class: &'static str,
 }
@@ -570,6 +587,20 @@ fn bind_ops(
             weight: weight.map(str::to_string),
             reason,
         };
+        let refused = |reason| BindError::Field {
+            op: path.clone(),
+            weight: weight.map(str::to_string),
+            reason,
+        };
+        let positive = |v: f32| v.is_finite() && v > 0.0;
+        // A weighted op's calibrated grid, its step one the codes can use.
+        let grid = |w: &str| match lookup_grid(w, grids)? {
+            g if positive(g.step) => Ok(g),
+            g => Err(refused(format!(
+                "calibration step {} must be positive and finite",
+                g.step
+            ))),
+        };
         if dims.contains(&0) {
             return Err(misfit(format!("it is reached by {dims:?}, a zero dim")));
         }
@@ -598,6 +629,12 @@ fn bind_ops(
             bind_ops(ops, &at, dims, by_path, grids)
         };
         let (bound, out) = match op {
+            &InferOp::Conv2d {
+                kernel, padding, ..
+            } if padding >= kernel => {
+                let why = format!("padding {padding} must be smaller than the kernel ({kernel})");
+                return Err(refused(why));
+            }
             InferOp::Conv2d {
                 in_channels: ic,
                 out_channels: oc,
@@ -623,7 +660,7 @@ fn bind_ops(
                     widx,
                     spec: ConvSpec::new(*kernel, *stride, *padding),
                     bias: bias(b, *out_channels)?,
-                    grid: lookup_grid(weight, grids)?,
+                    grid: grid(weight)?,
                 };
                 (bound, vec![*out_channels, oh, ow])
             }
@@ -640,7 +677,7 @@ fn bind_ops(
                 out_features,
                 bias: b,
             } if dims == [*in_features] => {
-                let (bias, grid) = (bias(b, *out_features)?, lookup_grid(weight, grids)?);
+                let (bias, grid) = (bias(b, *out_features)?, grid(weight)?);
                 (BoundOp::Linear { widx, bias, grid }, vec![*out_features])
             }
             InferOp::ChannelAffine { scale, shift } if scale.len() != shift.len() => {
@@ -654,6 +691,14 @@ fn bind_ops(
                 (BoundOp::ChannelAffine { scale, shift }, dims.clone())
             }
             InferOp::Relu => (BoundOp::Relu, dims.clone()),
+            &InferOp::UniformActQuant { range, levels }
+                if !(positive(range) && positive(levels)) =>
+            {
+                let why = format!(
+                    "act-quant range {range} and levels {levels} must be positive and finite"
+                );
+                return Err(refused(why));
+            }
             &InferOp::UniformActQuant { range, levels } => {
                 (BoundOp::UniformActQuant { range, levels }, dims.clone())
             }
@@ -726,7 +771,7 @@ fn profile_meta(
     weights: &[BoundWeight],
     integer: bool,
 ) -> Option<(&'static str, PathChoice, u64)> {
-    // Weight bytes actually read: the integer GEMM its `i16` rows, the
+    // Weight bytes actually read: the integer kernel its `i16` panels, the
     // float path the unpacked `f32` weight.
     let weighted = |kind: &'static str, widx: &usize, grid: &ActGrid| {
         let w = &weights[*widx];
@@ -751,8 +796,8 @@ fn profile_meta(
     }
 }
 
-/// Quantizes `x` onto the op's calibrated grid, runs the integer GEMM
-/// `kernel` on the codes with the weight's GEMM form, and recycles the
+/// Quantizes `x` onto the op's calibrated grid, runs the integer kernel
+/// `kernel` on the codes with the weight's panels, and recycles the
 /// code buffer.
 fn on_codes(
     x: &Tensor,
@@ -768,15 +813,17 @@ fn on_codes(
 }
 
 /// Everything a forward pass threads through the op loop unchanged:
-/// the bound weights, the code scratch pool, and whether integer-grid
-/// ops run on the integer GEMM (`false` = the float reference path).
+/// the bound weights, the code scratch pool, the integer conv's plane
+/// pool (one per forward), and whether integer-grid ops run on the
+/// integer kernel (`false` = the float reference path).
 struct ExecCtx<'a> {
     weights: &'a [BoundWeight],
     scratch: &'a ScratchPool<u8>,
+    planes: ScratchPool<i16>,
     integer: bool,
 }
 
-/// Runs a plan: each weighted op takes the integer GEMM in an integer
+/// Runs a plan: each weighted op takes the integer kernel in an integer
 /// forward where calibration allows, else the exact float path on the
 /// unpacked weight.
 fn run_ops(
@@ -816,7 +863,7 @@ fn run_ops(
                 let w = &weights[*widx];
                 let y = match PathChoice::of(grid, integer) {
                     PathChoice::Integer => on_codes(&x, grid, w, scratch, |q, iw| {
-                        conv2d_integer(q, iw, *spec, scratch)
+                        conv2d_integer(q, iw, *spec, &ctx.planes)
                     })?,
                     PathChoice::Float => conv2d(&x, &w.float, *spec),
                 };
@@ -849,7 +896,11 @@ fn run_ops(
                 }
                 y
             }
-            BoundOp::Relu => x.map(|v| v.max(0.0)),
+            BoundOp::Relu => {
+                let mut y = x;
+                y.map_inplace(|v| v.max(0.0));
+                y
+            }
             BoundOp::UniformActQuant { range, levels } => {
                 let mut y = x;
                 uniform_act_quant(&mut y, *range, *levels)?;
@@ -875,7 +926,8 @@ fn run_ops(
                 } else {
                     run_ops(ctx, shortcut, x, observer.as_deref_mut())?
                 };
-                let merged = m.add(&s);
+                let mut merged = m;
+                merged.add_assign_t(&s);
                 run_ops(ctx, post, merged, observer.as_deref_mut())?
             }
         };

@@ -16,9 +16,10 @@
 //!   bit-deterministic.
 //! * [`CompiledModel`] — an immutable executor over the artifact:
 //!   where calibration allows, each weighted op runs the one exact
-//!   integer GEMM (u8 activation codes against `i16` weight rows,
-//!   `i32` partial sums added up in `i64`); exact float fallback where
-//!   calibration does not allow integer execution (signed stem inputs).
+//!   integer kernel (u8 activation codes in a channels-last `i16` plane
+//!   against `i16` weight panels, `i32` partial sums added up in `i64`);
+//!   exact float fallback where calibration does not allow integer
+//!   execution (signed stem inputs).
 //! * [`Engine`] — a micro-batching server: bounded submission queue,
 //!   worker threads that fuse up to `max_batch` requests (or whatever
 //!   arrives within `batch_window`) into one forward, per-worker

@@ -50,7 +50,7 @@ fn fixture() -> &'static Fixture {
 }
 
 /// A second artifact trained at a uniform 2-bit width: the low-bit end
-/// of the precisions CSQ assigns, served on the same integer GEMM.
+/// of the precisions CSQ assigns, served on the same integer kernel.
 fn lowbit_fixture() -> &'static Fixture {
     static FIX: OnceLock<Fixture> = OnceLock::new();
     FIX.get_or_init(|| {
@@ -182,7 +182,7 @@ fn forward_batch_is_bit_identical_at_1_and_4_threads_and_to_single_samples() {
     let n = images.dims()[0];
     let k = compiled.num_classes();
 
-    // Every weighted op runs the integer GEMM except the stem, whose
+    // Every weighted op runs the integer kernel except the stem, whose
     // signed image input keeps it on the float path.
     let plan = compiled.kernel_plan(n);
     assert_eq!(plan.len(), fix.artifact.weights.len());
@@ -217,7 +217,7 @@ fn forward_batch_is_bit_identical_at_1_and_4_threads_and_to_single_samples() {
 
 /// A CSQ MobileNetV2, whose depthwise convs are grouped convs with a
 /// `[C, 1, 3, 3]` weight, served from a `.csqm` that went through disk:
-/// every grouped conv runs the integer GEMM, and `forward_batch` is
+/// every grouped conv runs the integer kernel, and `forward_batch` is
 /// bit-identical at 1 and 4 threads and to each sample served alone.
 ///
 /// Not every conv after the stem is integer here. A block's output is

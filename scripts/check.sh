@@ -22,9 +22,12 @@ echo "==> cargo test --workspace (every crate's unit, integration and doc tests)
 # - bit-exactness: the float GEMM and the conv forward and gradients
 #   against naive loops (csq-tensor gemm::, kernel_equivalence,
 #   kernel_equivalence_prop), the integer kernels (csq-core
-#   integer_kernels; its conv sweep must meet im2col runs in every
-#   fixed-piece width class, a run copied plainly, and the served convs'
-#   24-, 48- and 96-code runs), the served model's forward_batch at 1 and 4
+#   integer_kernels; its conv sweep must meet a lane tail, a depthwise
+#   block, lanes spanning groups with 1 < OC/G < 8, an odd channel count
+#   per group, a short 8-position strip, a 1x1 stride-2 conv and the
+#   served 3x3 convs at 8, 16 and 32 channels; the kernel's AVX2 and
+#   portable bodies agree in csq-core qinfer::), the served model's
+#   forward_batch at 1 and 4
 #   threads and against single samples (csq-serve serve_end_to_end),
 #   training at 1 and 4 threads (parallel_determinism), and crash
 #   resume in both training phases (failure_injection);
@@ -48,8 +51,9 @@ echo "==> cargo test --workspace (every crate's unit, integration and doc tests)
 #   num_classes (two fixed cases, a calibration step of 0 and residual
 #   branches of different sizes, must fail to load or compile and name
 #   the op), and a panic prints the seed that replays it (csqm_fuzz);
-#   hand-built plans whose shapes do not fit must each fail compile
-#   with a shape error naming the op (csq-serve artifact::tests).
+#   hand-built plans whose shapes do not fit, or that hold a calibration
+#   step, act-quant range or padding the decoders refuse, must each fail
+#   compile with an error naming the op (csq-serve artifact::tests).
 cargo test -q --workspace
 
 echo "==> flight-recorder chaos drill (postmortem must be well-formed JSONL)"
