@@ -3,9 +3,10 @@
 //! The paper's efficiency argument (§I, citing Horowitz's ISSCC analysis)
 //! is that linear quantization lets deployment replace floating-point
 //! multiplies with fixed-point ones. These kernels are that path for the
-//! workspace's packed models: activations are quantized to unsigned 8-bit
-//! codes, weights come from [`crate::PackedWeight`] integer codes, and a
-//! single float multiply per output element applies the combined scale:
+//! workspace's packed models: activations are quantized to signed codes
+//! on a symmetric grid of ±255 steps, weights come from
+//! [`crate::PackedWeight`] integer codes, and a single float multiply per
+//! output element applies the combined scale:
 //!
 //! ```text
 //! y = (Σ_k w_code[k] · x_code[k]) · (w_step · x_step)
@@ -46,14 +47,12 @@
 //! same inputs (Rust neither fuses a multiply-add nor reassociates). So
 //! every body gives the same bits.
 //!
-//! Two quantization entry points exist: [`QuantizedActivations::quantize`]
-//! derives the range from the tensor's own maximum (fine for one-off
-//! analysis, but the grid then varies per request), while
-//! [`QuantizedActivations::quantize_with_step`] injects a *calibrated*
-//! step so a serving engine can use one fixed grid for every request —
-//! which is what makes batched inference bit-identical to single-request
-//! inference. All entry points return [`QinferError`] instead of
-//! panicking (lib crates are panic-free on user-reachable paths).
+//! Codes are emitted with a *calibrated* step
+//! ([`QuantizedActivations::quantize_with_step`]), so a serving engine
+//! uses one fixed grid for every request — which is what makes batched
+//! inference bit-identical to single-request inference. All entry points
+//! return [`QinferError`] instead of panicking (lib crates are
+//! panic-free on user-reachable paths).
 
 use crate::pack::PackedWeight;
 use csq_nn::activation::quantize_activation;
@@ -175,11 +174,11 @@ impl std::fmt::Display for QinferError {
 
 impl std::error::Error for QinferError {}
 
-/// An activation tensor quantized to unsigned 8-bit codes.
+/// An activation tensor quantized to signed codes on a symmetric grid.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QuantizedActivations {
-    /// Codes in `0..=255`, row-major, same logical shape as the source.
-    pub codes: Vec<u8>,
+    /// Codes in `-255..=255`, row-major, same logical shape as the source.
+    pub codes: Vec<i16>,
     /// Dequantization step: `float = code · step`.
     pub step: f32,
     /// Logical tensor shape.
@@ -187,23 +186,12 @@ pub struct QuantizedActivations {
 }
 
 impl QuantizedActivations {
-    /// Quantizes a non-negative activation tensor (post-ReLU) to 8-bit
-    /// codes on `[0, max]`, deriving the range from the tensor's own
-    /// maximum. Returns [`QinferError::EmptyActivations`] for an empty
-    /// tensor.
-    pub fn quantize(x: &Tensor) -> Result<QuantizedActivations, QinferError> {
-        if x.numel() == 0 {
-            return Err(QinferError::EmptyActivations);
-        }
-        let max = x.max().max(1e-8);
-        Self::quantize_with_step(x, max / 255.0)
-    }
-
     /// Quantizes with an externally *calibrated* step: codes are
-    /// `round(clamp(v, 0, 255·step)/step)`, so the representable range
-    /// is `[0, 255·step]` regardless of this particular tensor's values.
-    /// Using one fixed step for every request is what makes a serving
-    /// engine's batched results bit-identical to single-request results.
+    /// `round(clamp(v, −255·step, 255·step)/step)`, so the representable
+    /// range is `[−255·step, 255·step]` regardless of this particular
+    /// tensor's values. Using one fixed step for every request is what
+    /// makes a serving engine's batched results bit-identical to
+    /// single-request results.
     ///
     /// Returns [`QinferError::EmptyActivations`] for an empty tensor and
     /// [`QinferError::BadStep`] for a non-positive or non-finite step.
@@ -214,12 +202,12 @@ impl QuantizedActivations {
     /// [`quantize_with_step`](Self::quantize_with_step) writing into a
     /// caller-supplied buffer (resized to fit), so a serving worker can
     /// recycle code buffers through a
-    /// [`csq_tensor::par::ScratchPool<u8>`] instead of allocating per
+    /// [`csq_tensor::par::ScratchPool<i16>`] instead of allocating per
     /// request.
     pub fn quantize_with_step_into(
         x: &Tensor,
         step: f32,
-        mut buf: Vec<u8>,
+        mut buf: Vec<i16>,
     ) -> Result<QuantizedActivations, QinferError> {
         if x.numel() == 0 {
             return Err(QinferError::EmptyActivations);
@@ -262,16 +250,18 @@ pub fn uniform_act_quant(x: &mut Tensor, range: f32, levels: f32) -> Result<(), 
     Ok(())
 }
 
-/// Code emission: `codes[i] = round(clamp(x[i], 0, 255·step)/step)`,
-/// capped at 255. That is a whole number `r` in [0, 255] (NaN becomes
-/// 255), so `2²³ + r` is exact and its low byte is `r`: a conversion that
-/// vectorizes, unlike `as u8`. Forced inline so that the AVX2 body
-/// compiles this same expression with AVX2 enabled.
+/// Code emission: `codes[i] = round(clamp(x[i], −255·step, 255·step)/
+/// step)`, kept in ±255, where the clamp's `min` comes first so that NaN
+/// becomes `255·step` and takes the top code. That is a whole number `r`
+/// in [−255, 255], so `1.5·2²³ + r` is exact and its low 16 bits are `r`:
+/// a conversion that vectorizes, unlike `as i16`. Forced inline so that
+/// the AVX2 body compiles this same expression with AVX2 enabled.
 #[inline(always)]
-fn emit_codes(x: &[f32], step: f32, codes: &mut [u8]) {
+fn emit_codes(x: &[f32], step: f32, codes: &mut [i16]) {
     let hi = 255.0 * step;
     for (c, &v) in codes.iter_mut().zip(x) {
-        *c = ((v.clamp(0.0, hi) / step).round().min(255.0) + 8_388_608.0).to_bits() as u8;
+        let r = (v.min(hi).max(-hi) / step).round().clamp(-255.0, 255.0);
+        *c = (r + 12_582_912.0).to_bits() as i16;
     }
 }
 
@@ -300,8 +290,8 @@ type Tile = [[f32; STRIP]; LANES];
 #[derive(Clone, Copy)]
 struct Bodies {
     block: fn(&Block<'_>, &mut [f32]),
-    plane: fn(&[u8], &mut [i16], &Plane),
-    emit_codes: fn(&[f32], f32, &mut [u8]),
+    plane: fn(&[i16], &mut [i16], &Plane),
+    emit_codes: fn(&[f32], f32, &mut [i16]),
     act_quant: fn(&mut [f32], f32, f32),
 }
 
@@ -333,8 +323,8 @@ fn bodies() -> &'static Bodies {
 /// [`QinferError::CodeOutOfRange`].
 pub const MAX_CODE: i32 = i16::MAX as i32;
 
-/// Largest activation code (activations are unsigned 8-bit codes).
-const MAX_ACT_CODE: u32 = u8::MAX as u32;
+/// Largest activation code magnitude (codes lie in `-255..=255`).
+const MAX_ACT_CODE: u32 = 255;
 
 /// A weight's integer codes packed for the integer kernel. Built once at
 /// artifact compile time from a [`PackedWeight`]; immutable afterwards.
@@ -527,14 +517,14 @@ impl Plane {
 
 /// The portable plane body: each channel's interior pixels, a row at a
 /// time.
-fn fill_plane(src: &[u8], dst: &mut [i16], p: &Plane) {
+fn fill_plane(src: &[i16], dst: &mut [i16], p: &Plane) {
     for (c, from) in src.chunks_exact(p.hw.max(1)).enumerate() {
         let at = c / p.cg * p.cgp + c % p.cg;
         for iy in 0..p.ih {
             let to = dst[((iy + p.border) * p.pw + p.border) * p.pix + at..].iter_mut();
             let row = from[iy * p.sub * p.w..].iter().step_by(p.sub);
             for (t, &f) in to.step_by(p.pix).zip(row).take(p.iw) {
-                *t = f.into();
+                *t = f;
             }
         }
     }
@@ -744,7 +734,7 @@ mod avx2 {
     /// AVX2 check. Copies 8 × 8 blocks when each source pixel is read
     /// (`sub == 1`) into the same plane channel (`cg == cgp`) and there
     /// are 8 of each; else the portable body.
-    fn plane(src: &[u8], dst: &mut [i16], p: &Plane) {
+    fn plane(src: &[i16], dst: &mut [i16], p: &Plane) {
         if !(p.sub == 1 && p.cg == p.cgp && p.c >= 8 && p.hw >= 8) {
             return super::fill_plane(src, dst, p);
         }
@@ -762,7 +752,7 @@ mod avx2 {
 
     /// Only reachable through [`bodies`], which returns it after the
     /// AVX2 check.
-    fn emit_codes(x: &[f32], step: f32, codes: &mut [u8]) {
+    fn emit_codes(x: &[f32], step: f32, codes: &mut [i16]) {
         // SAFETY: `bodies` hands this function out only after
         // `is_x86_feature_detected!("avx2")` returned true; the body
         // reads and writes through bounds-checked slices only, so it
@@ -781,7 +771,7 @@ mod avx2 {
     }
 
     #[target_feature(enable = "avx2")]
-    fn emit_codes_avx2(x: &[f32], step: f32, codes: &mut [u8]) {
+    fn emit_codes_avx2(x: &[f32], step: f32, codes: &mut [i16]) {
         super::emit_codes(x, step, codes)
     }
 
@@ -844,8 +834,8 @@ mod avx2 {
     }
 
     /// The plane copy in 8 × 8 blocks of channels and pixels, the last of
-    /// each overlapping the one before: 8 widening loads of 8 codes, an
-    /// `i16` transpose (pairs, quads, halves), 8 stores of 8 codes.
+    /// each overlapping the one before: 8 loads of 8 codes, an `i16`
+    /// transpose (pairs, quads, halves), 8 stores of 8 codes.
     ///
     /// # Safety
     ///
@@ -853,7 +843,7 @@ mod avx2 {
     /// `hw ≥ 8` pixels, all interior, and `dst` be `p`'s plane, each pixel
     /// `c` codes.
     #[target_feature(enable = "avx2")]
-    unsafe fn blocks(src: &[u8], dst: &mut [i16], p: &Plane) {
+    unsafe fn blocks(src: &[i16], dst: &mut [i16], p: &Plane) {
         let out = dst.as_mut_ptr();
         for q0 in (0..p.hw).step_by(8).map(|q| q.min(p.hw - 8)) {
             // One division per block unless its pixels span rows.
@@ -863,7 +853,7 @@ mod avx2 {
                 let mut r = [_mm_setzero_si128(); 8];
                 for (i, r) in r.iter_mut().enumerate() {
                     let codes = src.as_ptr().add((c0 + i) * p.hw + q0);
-                    *r = _mm_cvtepu8_epi16(_mm_loadl_epi64(codes.cast()));
+                    *r = _mm_loadu_si128(codes.cast());
                 }
                 let mut a = r;
                 for i in (0..8).step_by(2) {
@@ -887,7 +877,7 @@ mod avx2 {
     }
 }
 
-/// Integer 2-D convolution: u8 activation codes × packed integer
+/// Integer 2-D convolution: signed activation codes × packed integer
 /// weights on the integer kernel, one float scale per output.
 ///
 /// `x` is `[N, IC, H, W]` quantized activations; `w` packs a conv weight
@@ -928,8 +918,11 @@ pub fn linear_integer(x: &QuantizedActivations, w: &IntegerWeight) -> Result<Ten
         });
     }
     let mut plane = vec![0i16; b * pix];
-    for (i, &c) in x.codes.iter().enumerate() {
-        plane[i / inf * pix + i % inf] = c.into();
+    for (row, codes) in plane
+        .chunks_exact_mut(pix.max(1))
+        .zip(x.codes.chunks_exact(inf.max(1)))
+    {
+        row[..inf].copy_from_slice(codes);
     }
     let reads = Reads {
         pos: (0..b).map(|q| q * pix).collect(),
@@ -958,6 +951,11 @@ mod tests {
         IntegerWeight::from_packed(pw).unwrap()
     }
 
+    /// Codes on the grid that just holds `x`'s largest magnitude.
+    fn quantize(x: &Tensor) -> QuantizedActivations {
+        QuantizedActivations::quantize_with_step(x, x.max_abs() / 255.0).unwrap()
+    }
+
     fn packed_weight(dims: &[usize], seed: u64) -> (PackedWeight, Tensor) {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let w0 = init::uniform(dims, -0.5, 0.5, &mut rng);
@@ -979,8 +977,8 @@ mod tests {
     #[test]
     fn activation_quantization_round_trip_error_bounded() {
         let mut rng = ChaCha8Rng::seed_from_u64(0);
-        let x = init::uniform(&[64], 0.0, 3.0, &mut rng);
-        let q = QuantizedActivations::quantize(&x).unwrap();
+        let x = init::uniform(&[64], -3.0, 3.0, &mut rng);
+        let q = quantize(&x);
         let back = q.dequantize();
         let bound = q.step * 0.5 + 1e-6;
         for (&a, &b) in x.iter().zip(back.iter()) {
@@ -990,12 +988,16 @@ mod tests {
 
     #[test]
     fn quantize_with_step_uses_the_injected_grid() {
-        let x = Tensor::from_vec(vec![0.0, 0.5, 1.0, 7.0], &[4]);
+        let x = Tensor::from_vec(vec![0.0, 0.5, 1.0, 7.0, -0.5, -7.0], &[6]);
         let q = QuantizedActivations::quantize_with_step(&x, 0.01).unwrap();
         assert_eq!(q.step, 0.01);
-        assert_eq!(q.codes, vec![0, 50, 100, 255], "7.0 clamps to 255·step");
-        // Unlike `quantize`, the grid does not depend on this tensor's
-        // own max: a second tensor with a different max shares the grid.
+        assert_eq!(
+            q.codes,
+            vec![0, 50, 100, 255, -50, -255],
+            "±7.0 clamps to ±255·step"
+        );
+        // The grid does not depend on this tensor's own range: a second
+        // tensor with a different maximum shares it.
         let y = Tensor::from_vec(vec![0.5], &[1]);
         let qy = QuantizedActivations::quantize_with_step(&y, 0.01).unwrap();
         assert_eq!(qy.codes[0], q.codes[1]);
@@ -1005,7 +1007,7 @@ mod tests {
     fn quantize_rejects_bad_inputs() {
         let empty = Tensor::zeros(&[0]);
         assert_eq!(
-            QuantizedActivations::quantize(&empty),
+            QuantizedActivations::quantize_with_step(&empty, 0.01),
             Err(QinferError::EmptyActivations)
         );
         let x = Tensor::from_vec(vec![1.0], &[1]);
@@ -1023,7 +1025,7 @@ mod tests {
     fn quantize_with_step_into_recycles_the_buffer() {
         let x = Tensor::from_vec(vec![0.1, 0.2, 0.3], &[3]);
         let mut buf = Vec::with_capacity(64);
-        buf.push(9u8); // stale contents must be cleared
+        buf.push(9i16); // stale contents must be cleared
         let q = QuantizedActivations::quantize_with_step_into(&x, 0.01, buf).unwrap();
         assert_eq!(q.codes.len(), 3);
         assert_eq!(q.codes, vec![10, 20, 30]);
@@ -1032,12 +1034,12 @@ mod tests {
     #[test]
     fn integer_conv_matches_float_conv_within_activation_error() {
         let mut rng = ChaCha8Rng::seed_from_u64(1);
-        // Non-negative activations, as after ReLU.
-        let x = init::uniform(&[1, 2, 6, 6], 0.0, 1.0, &mut rng);
+        // Signed activations, as the stem reads.
+        let x = init::uniform(&[1, 2, 6, 6], -1.0, 1.0, &mut rng);
         let (pw, w) = packed_weight(&[3, 2, 3, 3], 2);
         let spec = ConvSpec::new(3, 1, 1);
 
-        let xq = QuantizedActivations::quantize(&x).unwrap();
+        let xq = quantize(&x);
         let y_int = conv2d_integer(&xq, &int(&pw), spec, &ScratchPool::new()).unwrap();
         // Reference: float conv on the dequantized activations is
         // *exactly* what the integer path computes.
@@ -1065,7 +1067,7 @@ mod tests {
         let x = init::uniform(&[2, 3, 6, 6], 0.0, 1.0, &mut rng);
         let (pw, w) = packed_weight(&[3, 1, 3, 3], 8);
         let spec = ConvSpec::new(3, 1, 1);
-        let xq = QuantizedActivations::quantize(&x).unwrap();
+        let xq = quantize(&x);
         let y_int = conv2d_integer(&xq, &int(&pw), spec, &ScratchPool::new()).unwrap();
         let y_ref = conv2d(&xq.dequantize(), &w, spec);
         assert!(y_int.approx_eq(&y_ref, 1e-3));
@@ -1076,7 +1078,7 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(3);
         let x = init::uniform(&[4, 8], 0.0, 2.0, &mut rng);
         let (pw, w) = packed_weight(&[5, 8], 4);
-        let xq = QuantizedActivations::quantize(&x).unwrap();
+        let xq = quantize(&x);
         let y_int = linear_integer(&xq, &int(&pw)).unwrap();
         let y_ref = xq.dequantize().matmul_nt(&w);
         assert!(y_int.approx_eq(&y_ref, 1e-3));
@@ -1088,7 +1090,7 @@ mod tests {
         // (i64 accumulation; f32 would).
         let n = 4096usize;
         let xq = QuantizedActivations {
-            codes: vec![255u8; n],
+            codes: vec![255i16; n],
             step: 1.0,
             dims: vec![1, n],
         };
@@ -1179,7 +1181,7 @@ mod tests {
         pw.codes[2 * flt + 9..2 * flt + 18]
             .iter_mut()
             .for_each(|c| *c = 0);
-        let xq = QuantizedActivations::quantize(&x).unwrap();
+        let xq = quantize(&x);
         let spec = ConvSpec::new(3, 1, 1);
         let y = conv2d_integer(&xq, &int(&pw), spec, &ScratchPool::new()).unwrap();
         // Float reference on the dequantized codes and weight.
@@ -1195,7 +1197,7 @@ mod tests {
         let (mut lw, _) = packed_weight(&[4, 8], 23);
         lw.codes[8..16].iter_mut().for_each(|c| *c = 0);
         let xl = init::uniform(&[3, 8], 0.0, 1.0, &mut rng);
-        let ql = QuantizedActivations::quantize(&xl).unwrap();
+        let ql = quantize(&xl);
         let yl = linear_integer(&ql, &int(&lw)).unwrap();
         for bi in 0..3 {
             assert_eq!(yl.data()[bi * 4 + 1], 0.0);
@@ -1205,7 +1207,7 @@ mod tests {
         let (mut dw, _) = packed_weight(&[3, 1, 3, 3], 24);
         dw.codes[..9].iter_mut().for_each(|c| *c = 0);
         let xd = init::uniform(&[1, 3, 5, 5], 0.0, 1.0, &mut rng);
-        let qd = QuantizedActivations::quantize(&xd).unwrap();
+        let qd = quantize(&xd);
         let yd = conv2d_integer(&qd, &int(&dw), spec, &ScratchPool::new()).unwrap();
         assert!(yd.data()[..per].iter().all(|&v| v == 0.0));
     }
@@ -1274,13 +1276,14 @@ mod tests {
     }
 
     /// The AVX2 and portable kernel and plane bodies give the same
-    /// planes, and outputs equal to direct loops: 8-row blocks with a lane
-    /// tail, blocks whose lanes span groups (depthwise, `OC/G` of 2 and
-    /// 5), odd channel counts per group, position counts that leave a
-    /// short strip, plane copies with channel and pixel tails, the 1×1
-    /// stride-2 plane, the served 3×3 convs at 8, 16 and 32 channels,
-    /// linear depths around a pair, and ±[`MAX_CODE`] codes against
-    /// all-255 activations at and past the K-chunk.
+    /// planes, and outputs equal to direct loops, on activation codes in
+    /// −255..=255: 8-row blocks with a lane tail, blocks whose lanes span
+    /// groups (depthwise, `OC/G` of 2 and 5), odd channel counts per
+    /// group, position counts that leave a short strip, plane copies with
+    /// channel and pixel tails, the 1×1 stride-2 plane, the served 3×3
+    /// convs at 8, 16 and 32 channels, linear depths around a pair, and
+    /// ±[`MAX_CODE`] codes against all-±255 activations at and past the
+    /// K-chunk.
     #[test]
     fn avx2_and_portable_kernel_bodies_agree_bit_for_bit() {
         let avx2 = avx2_bodies();
@@ -1300,7 +1303,7 @@ mod tests {
             (0..len).map(|_| rng.gen_range(-max..=max)).collect()
         };
         let acts = |dims: &[usize], codes: Vec<i32>| QuantizedActivations {
-            codes: codes.iter().map(|&c| c.unsigned_abs() as u8).collect(),
+            codes: codes.iter().map(|&c| c as i16).collect(),
             step: 0.25,
             dims: dims.to_vec(),
         };
@@ -1352,17 +1355,18 @@ mod tests {
         let empty = linear_integer(&acts(&[2, 0], vec![]), &int(&weight(&[3, 0], vec![])));
         assert_eq!(empty.unwrap().data(), &[0.0; 6]);
         let chunk = int(&weight(&[1, 1], vec![MAX_CODE])).k_chunk();
-        for code in [MAX_CODE, -MAX_CODE] {
+        let extremes = [MAX_CODE, -MAX_CODE].map(|c| [(c, 255), (c, -255)]);
+        for (code, act) in extremes.into_iter().flatten() {
             for k in [chunk, chunk + 1, 2 * chunk + 3] {
                 // Rows alternate sign, so every block holds both extremes.
                 let w = (0..9 * k).map(|i| [code, -code][i / k % 2]).collect();
-                let x = acts(&[3, k, 1, 1], vec![255; 3 * k]);
+                let x = acts(&[3, k, 1, 1], vec![act; 3 * k]);
                 conv(&x, &weight(&[9, k, 1, 1], w), one);
             }
             let c = (chunk + 1).div_ceil(9);
             let w = weight(&[5, c, 3, 3], vec![code; 5 * c * 9]);
             conv(
-                &acts(&[1, c, 3, 3], vec![255; c * 9]),
+                &acts(&[1, c, 3, 3], vec![act; c * 9]),
                 &w,
                 ConvSpec::new(3, 1, 1),
             );
@@ -1428,10 +1432,11 @@ mod tests {
     }
 
     /// The AVX2 and portable rounding bodies give the same codes and the
-    /// same float bits on NaN, ±inf, −0.0, exact halves `n + 0.5`,
-    /// 0.49999997, subnormals, and values just under and over `255·step`
-    /// and `range`, each alone and in runs that start at every offset of
-    /// an 8-lane vector; the portable body gives the documented answers.
+    /// same float bits on NaN, ±inf, ±0.0, exact halves `±(n + 0.5)`,
+    /// ±0.49999997, subnormals, negative values, and values just under
+    /// and over `±255·step` and `range`, each alone and in runs that start
+    /// at every offset of an 8-lane vector; the portable body gives the
+    /// documented answers.
     #[test]
     fn avx2_and_portable_rounding_bodies_agree_bit_for_bit() {
         let avx2 = avx2_bodies();
@@ -1440,7 +1445,7 @@ mod tests {
         }
         let bodies: Vec<Bodies> = std::iter::once(PORTABLE).chain(avx2).collect();
         let codes = |b: &Bodies, xs: &[f32], step: f32| {
-            let mut c = vec![0u8; xs.len()];
+            let mut c = vec![0i16; xs.len()];
             (b.emit_codes)(xs, step, &mut c);
             c
         };
@@ -1466,11 +1471,13 @@ mod tests {
                 f32::MAX,
                 f32::MIN,
                 -1.0,
+                -0.499_999_97,
+                -0.499_999_97 * step,
             ];
-            for edge in [255.0 * step, range] {
+            for edge in [255.0 * step, -255.0 * step, range] {
                 xs.extend([edge.next_down(), edge, edge.next_up()]);
             }
-            for n in 0..=256 {
+            for n in -257..=256 {
                 let half = (n as f32 + 0.5) * step;
                 xs.extend([n as f32 * step, half.next_down(), half, half.next_up()]);
             }
@@ -1492,7 +1499,8 @@ mod tests {
             }
         }
         // The portable body itself: halves round away from zero, NaN and
-        // +inf take the top code, and act-quant keeps −0.0 and NaN.
+        // +inf take the top code, −inf the bottom one, and act-quant keeps
+        // −0.0 and NaN.
         let xs = [
             0.5,
             1.5,
@@ -1503,10 +1511,14 @@ mod tests {
             f32::INFINITY,
             f32::NEG_INFINITY,
             -0.0,
+            -0.5,
+            -2.5,
+            -254.5,
+            -300.0,
         ];
         assert_eq!(
             codes(&PORTABLE, &xs, 1.0),
-            [1, 2, 3, 255, 255, 255, 255, 0, 0]
+            [1, 2, 3, 255, 255, 255, 255, -255, 0, -1, -3, -255, -255]
         );
         let aq = quant(
             &PORTABLE,

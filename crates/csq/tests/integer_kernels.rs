@@ -5,11 +5,12 @@
 //! A seeded sweep covers 1×1, 3×3 and 5×5 kernels, strides 1–2, padding
 //! 0–2, dense, grouped and depthwise convs, channel and feature counts
 //! that are not multiples of the kernel's 8-channel blocks, 8-position
-//! strips or channel pairs, batches 1–4 and all-zero filters, at 1 and 4
-//! threads; fixed cases drive 255 × ±255 operands (and the widest
-//! packable codes) to and past the K-chunk boundary where `i32` partial
-//! sums are handed to `i64`, through the linear layer and the conv. Uses
-//! only std and the workspace crates, so it builds offline.
+//! strips or channel pairs, batches 1–4 and all-zero filters, on signed
+//! activation codes, at 1 and 4 threads; fixed cases drive ±255 × ±255
+//! operands (and the widest packable codes) to and past the K-chunk
+//! boundary where `i32` partial sums are handed to `i64`, through the
+//! linear layer and the conv. Uses only std and the workspace crates, so
+//! it builds offline.
 
 use csq_core::pack::PackedWeight;
 use csq_core::qinfer::{
@@ -44,13 +45,14 @@ impl Rng {
     }
 }
 
+/// Codes in `-255..=255`; post-ReLU codes are often zero, so a quarter
+/// of them are.
 fn acts(rng: &mut Rng, dims: &[usize]) -> QuantizedActivations {
     let n: usize = dims.iter().product();
-    // Post-ReLU codes are often zero; keep a share of them.
     let codes = (0..n)
         .map(|_| match rng.range(0, 3) {
             0 => 0,
-            _ => rng.range(0, 255) as u8,
+            _ => rng.range(0, 510) as i16 - 255,
         })
         .collect();
     QuantizedActivations {
@@ -248,11 +250,17 @@ fn seeded_linear_sweep_matches_direct_loops_at_1_and_4_threads() {
     }
 }
 
-/// `batch` activation rows all 255 against `rows` rows of `code`; a
+/// `batch` activation rows all `act` against `rows` rows of `code`; a
 /// negative `code` alternates sign along each row.
-fn extreme(k: usize, rows: usize, batch: usize, code: i32) -> (QuantizedActivations, PackedWeight) {
+fn extreme(
+    k: usize,
+    rows: usize,
+    batch: usize,
+    code: i32,
+    act: i16,
+) -> (QuantizedActivations, PackedWeight) {
     let x = QuantizedActivations {
-        codes: vec![255; batch * k],
+        codes: vec![act; batch * k],
         step: 1.0,
         dims: vec![batch, k],
     };
@@ -271,7 +279,7 @@ fn extreme(k: usize, rows: usize, batch: usize, code: i32) -> (QuantizedActivati
 #[test]
 fn k_chunk_keeps_every_i32_partial_sum_in_range() {
     for max in [1, 255, MAX_CODE] {
-        let (_, w) = extreme(4, 1, 1, max);
+        let (_, w) = extreme(4, 1, 1, max, 255);
         let chunk = pack(&w).k_chunk() as i64;
         let per = 255 * i64::from(max);
         // A chunk is whole kernel steps of one channel pair (2 products).
@@ -283,46 +291,56 @@ fn k_chunk_keeps_every_i32_partial_sum_in_range() {
 
 #[test]
 fn extreme_operands_stay_exact_at_and_past_the_k_chunk_boundary() {
-    for code in [255, -255, MAX_CODE, -MAX_CODE] {
-        let (_, probe) = extreme(4, 1, 1, code);
+    for (code, act) in [255, -255, MAX_CODE, -MAX_CODE]
+        .into_iter()
+        .flat_map(|code| [(code, 255), (code, -255)])
+    {
+        let (_, probe) = extreme(4, 1, 1, code, act);
         let chunk = pack(&probe).k_chunk();
         for k in [chunk - 1, chunk, chunk + 1, 2 * chunk + 3] {
             // Rows of all `code` (positive) or alternating sign
             // (negative): sums that overflow `i32` unless chunked. Five
             // rows against three activation rows: one 8-channel block
             // with idle lanes, one short strip of positions.
-            let (x, w) = extreme(k, 5, 3, code);
+            let (x, w) = extreme(k, 5, 3, code, act);
             let want = linear_ref(&x, &w);
             let iw = pack(&w);
             for threads in [1usize, 4] {
                 let got = par::with_threads(threads, || linear_integer(&x, &iw)).expect("linear");
-                assert_eq!(got.data(), &want[..], "code={code} k={k} threads={threads}");
+                let what = format!("code={code} act={act} k={k} threads={threads}");
+                assert_eq!(got.data(), &want[..], "{what}");
             }
         }
     }
     // The same boundary through the conv path: 3×3 patches whose
     // `IC·9` reduction passes one chunk, with padding; five output
-    // channels of alternating sign over nine (odd) output positions.
-    let (_, probe) = extreme(4, 1, 1, 255);
-    let ic = (pack(&probe).k_chunk() + 1).div_ceil(9);
-    let spec = ConvSpec::new(3, 1, 1);
-    let x = QuantizedActivations {
-        codes: vec![255; ic * 9],
-        step: 1.0,
-        dims: vec![1, ic, 3, 3],
-    };
-    let w = PackedWeight {
-        path: "w".to_string(),
-        codes: (0..5 * ic * 9)
-            .map(|i| [255, -255][i / (ic * 9) % 2])
-            .collect(),
-        step: 1.0,
-        dims: vec![5, ic, 3, 3],
-        bits: 8.0,
-    };
-    let want = conv_ref(&x, &w, spec);
-    let got = conv2d_integer(&x, &pack(&w), spec, &ScratchPool::new()).expect("conv");
-    assert_eq!(got.data(), &want[..]);
+    // channels of alternating sign over nine (odd) output positions, on
+    // activations of either sign.
+    for (code, act) in [255, MAX_CODE]
+        .into_iter()
+        .flat_map(|code| [(code, 255), (code, -255)])
+    {
+        let (_, probe) = extreme(4, 1, 1, code, act);
+        let ic = (pack(&probe).k_chunk() + 1).div_ceil(9);
+        let spec = ConvSpec::new(3, 1, 1);
+        let x = QuantizedActivations {
+            codes: vec![act; ic * 9],
+            step: 1.0,
+            dims: vec![1, ic, 3, 3],
+        };
+        let w = PackedWeight {
+            path: "w".to_string(),
+            codes: (0..5 * ic * 9)
+                .map(|i| [code, -code][i / (ic * 9) % 2])
+                .collect(),
+            step: 1.0,
+            dims: vec![5, ic, 3, 3],
+            bits: 8.0,
+        };
+        let want = conv_ref(&x, &w, spec);
+        let got = conv2d_integer(&x, &pack(&w), spec, &ScratchPool::new()).expect("conv");
+        assert_eq!(got.data(), &want[..], "code=±{code} act={act}");
+    }
 }
 
 #[test]

@@ -84,7 +84,7 @@ pub fn rollout(
         error,
     };
     let reference = target.artifact.compile().map_err(compile_err)?;
-    let scratch: ScratchPool<u8> = ScratchPool::new();
+    let scratch: ScratchPool<i16> = ScratchPool::new();
     let expected = reference
         .forward_batch(probe, &scratch)
         .map_err(FleetError::Serve)?;

@@ -25,7 +25,7 @@
 //! [`ModelArtifact::is_compatible_with`] / `Engine::swap_model`), so it
 //! can never reach the serving path — the old version keeps serving.
 
-use crate::calibrate::{calibrate, grid_table, CalibrationEntry};
+use crate::calibrate::{calibrate, step_table, CalibrationEntry};
 use crate::exec::{BindError, CompiledModel, ServeError};
 use csq_core::pack::{PackError, PackedModel, PackedWeight};
 use csq_core::QuantScheme;
@@ -37,9 +37,12 @@ use serde::Serialize;
 use std::path::Path;
 
 /// Current `.csqm` format version. Bump on any incompatible change to
-/// [`ModelArtifact`]'s serialized shape; loaders reject versions they do
-/// not understand rather than misinterpreting fields.
-pub const CSQM_FORMAT_VERSION: u32 = 1;
+/// [`ModelArtifact`]'s serialized shape or to what its fields mean;
+/// loaders reject versions they do not understand rather than
+/// misinterpreting fields. Version 2 calibrates every weighted op onto a
+/// signed grid and serves it on the integer kernel; version 1 kept ops
+/// with negative inputs on a float path.
+pub const CSQM_FORMAT_VERSION: u32 = 2;
 
 /// Why an artifact could not be exported, saved, loaded, or compiled.
 #[derive(Debug)]
@@ -255,7 +258,8 @@ impl ModelArtifact {
         let packed = PackedModel::pack(model)?;
         let ops = export_model(model)?;
         let scheme = QuantScheme::extract(model);
-        // Uncalibrated executor: every weighted op on the float path.
+        // Uncalibrated executor for calibration's float pass only; it is
+        // dropped here and never served.
         let reference = CompiledModel::bind(
             name.to_string(),
             input_dims.to_vec(),
@@ -289,7 +293,7 @@ impl ModelArtifact {
                 supported: CSQM_FORMAT_VERSION,
             });
         }
-        let table = grid_table(&self.calibration);
+        let table = step_table(&self.calibration);
         Ok(CompiledModel::bind(
             self.name.clone(),
             self.input_dims.clone(),
@@ -599,14 +603,12 @@ mod tests {
     }
 
     /// An artifact of `ops` over `input_dims`, with one weight of each
-    /// `(path, dims)` in `weights` (every code 1) whose calibrated grid
-    /// is integer or float.
+    /// `(path, dims)` in `weights` (every code 1) and its calibrated step.
     fn plan(
         input_dims: &[usize],
         num_classes: usize,
         ops: Vec<InferOp>,
         weights: &[(&str, &[usize])],
-        integer: bool,
     ) -> ModelArtifact {
         let mut artifact = empty_artifact(CSQM_FORMAT_VERSION);
         artifact.input_dims = input_dims.to_vec();
@@ -619,9 +621,8 @@ mod tests {
             artifact.calibration.push(CalibrationEntry {
                 weight_path: path.to_string(),
                 step: 0.01,
-                observed_lo: if integer { 0.0 } else { -1.0 },
+                observed_lo: -1.0,
                 observed_hi: 2.55,
-                integer,
             });
         }
         artifact
@@ -663,7 +664,7 @@ mod tests {
     fn conv_weight_that_fits_no_grouping_is_a_bind_error() {
         let compile = |dims: &[usize], ic, oc, k| {
             let ops = vec![conv(ic, oc, k, 0, None), InferOp::GlobalAvgPool];
-            plan(&[4, 3, 3], oc, ops, &[("w", dims)], true)
+            plan(&[4, 3, 3], oc, ops, &[("w", dims)])
                 .compile()
                 .map(|_| ())
         };
@@ -700,7 +701,7 @@ mod tests {
     #[test]
     fn plans_whose_shapes_do_not_fit_are_bind_errors_naming_the_op() {
         let gap = || InferOp::GlobalAvgPool;
-        let mut zero_step = plan(&[4], 3, vec![linear(4, 3, None)], &[("w", &[3, 4])], true);
+        let mut zero_step = plan(&[4], 3, vec![linear(4, 3, None)], &[("w", &[3, 4])]);
         zero_step.calibration[0].step = 0.0;
         let act_quant = InferOp::UniformActQuant {
             range: 0.0,
@@ -723,39 +724,27 @@ mod tests {
                     4,
                     vec![conv(2, 4, 3, 1, Some(vec![0.1; 3])), gap()],
                     &[("w", &[4, 2, 3, 3])],
-                    true,
                 ),
                 ("ops[0]", w, "3 bias values for 4"),
             ),
             (
                 "max pool window of 5 on 4x4",
-                plan(&[1, 4, 4], 1, vec![max_pool, gap()], &[], true),
+                plan(&[1, 4, 4], 1, vec![max_pool, gap()], &[]),
                 ("ops[0]", None, "window 5, stride 1, pad 0 misses [1, 4, 4]"),
             ),
             (
                 "linear on an NCHW activation",
-                plan(
-                    &[2, 2, 2],
-                    3,
-                    vec![linear(8, 3, None)],
-                    &[("w", &[3, 8])],
-                    true,
-                ),
+                plan(&[2, 2, 2], 3, vec![linear(8, 3, None)], &[("w", &[3, 8])]),
                 ("ops[0]", w, "does not take [2, 2, 2]"),
             ),
             (
-                "[3, 5] linear fed 4 features, integer grid",
-                plan(&[4], 3, vec![linear(5, 3, None)], &[("w", &[3, 5])], true),
-                ("ops[0]", w, "does not take [4]"),
-            ),
-            (
-                "[3, 5] linear fed 4 features, float grid",
-                plan(&[4], 3, vec![linear(5, 3, None)], &[("w", &[3, 5])], false),
+                "[3, 5] linear fed 4 features",
+                plan(&[4], 3, vec![linear(5, 3, None)], &[("w", &[3, 5])]),
                 ("ops[0]", w, "does not take [4]"),
             ),
             (
                 "global average pool after a flatten",
-                plan(&[2, 2, 2], 8, vec![InferOp::Flatten, gap()], &[], true),
+                plan(&[2, 2, 2], 8, vec![InferOp::Flatten, gap()], &[]),
                 ("ops[1]", None, "does not take [8]"),
             ),
             (
@@ -765,29 +754,27 @@ mod tests {
                     3,
                     vec![linear(4, 3, Some(vec![0.5; 2]))],
                     &[("w", &[3, 4])],
-                    true,
                 ),
                 ("ops[0]", w, "2 bias values for 3"),
             ),
             (
                 "channel affine with 2 scales and 1 shift",
-                plan(&[2, 2, 2], 2, vec![affine, gap()], &[], true),
+                plan(&[2, 2, 2], 2, vec![affine, gap()], &[]),
                 ("ops[0]", None, "2 scales and 1 shifts"),
             ),
             (
-                "float-grid 3x3 conv, padding 0, on 2x2",
+                "3x3 conv, padding 0, on 2x2",
                 plan(
                     &[1, 2, 2],
                     2,
                     vec![conv(1, 2, 3, 0, None), gap()],
                     &[("w", &[2, 1, 3, 3])],
-                    false,
                 ),
                 ("ops[0]", w, "window 3, stride 1, pad 0 misses [1, 2, 2]"),
             ),
             (
                 "3 logits for 5 declared classes",
-                plan(&[4], 5, vec![linear(4, 3, None)], &[("w", &[3, 4])], true),
+                plan(&[4], 5, vec![linear(4, 3, None)], &[("w", &[3, 4])]),
                 ("ops[0]", w, "gives [3] per sample, not the 5 classes"),
             ),
             (
@@ -801,7 +788,7 @@ mod tests {
             ),
             (
                 "a lone act-quant of range 0",
-                plan(&[4], 4, vec![act_quant], &[], true),
+                plan(&[4], 4, vec![act_quant], &[]),
                 ("ops[0]", None, "range 0 and levels 15 must be positive"),
             ),
             (
@@ -811,7 +798,6 @@ mod tests {
                     2,
                     vec![conv(1, 2, 3, 3, None), gap()],
                     &[("w", &[2, 1, 3, 3])],
-                    true,
                 ),
                 ("ops[0]", w, "padding 3 must be smaller than the kernel (3)"),
             ),
@@ -829,6 +815,23 @@ mod tests {
                 other => panic!("{name}: expected a shape error, got {other:?}"),
             }
         }
+    }
+
+    /// Format 1 kept ops with negative inputs on a float path, so its
+    /// grids are not format 2's: a format-1 file is refused, not served.
+    #[test]
+    fn format_1_files_are_refused() {
+        let path = temp_csqm("format-1");
+        empty_artifact(1).save(&path).unwrap();
+        match ModelArtifact::load(&path) {
+            Err(ArtifactError::UnsupportedVersion {
+                found: 1,
+                supported: 2,
+                ..
+            }) => {}
+            other => panic!("expected UnsupportedVersion, got {other:?}"),
+        }
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -1,32 +1,25 @@
 //! Post-training activation calibration.
 //!
-//! The integer kernels quantize activations to unsigned 8-bit codes on a
-//! uniform grid `[0, 255·step]`. If each request derived `step` from its
-//! own maximum, two copies of the same image would produce different
-//! codes depending on batch composition, and batched inference would not
-//! be bit-identical to single-request inference. Calibration fixes the
-//! grid once, offline: a small sample set is run through the *float*
-//! reference path and the observed input range of every weighted op is
-//! frozen into a per-op step.
-//!
-//! Ops whose observed input includes negative values (the raw-image stem
-//! before the first ReLU) cannot be represented by unsigned codes; they
-//! are marked `integer = false` and permanently served by the exact
-//! float fallback on the unpacked weights — the usual "first layer stays
-//! high precision" deployment compromise.
+//! The integer kernel quantizes each weighted op's input to signed codes
+//! on a symmetric grid, `code = round(clamp(v, −255·step, 255·step)/step)`.
+//! If each request derived `step` from its own range, two copies of the
+//! same image would produce different codes depending on batch
+//! composition, and batched inference would not be bit-identical to
+//! single-request inference. Calibration fixes the grid once, offline: a
+//! small sample set is run through the *float* reference path and the
+//! observed input range `[lo, hi]` of every weighted op is frozen into a
+//! per-op `step = max(hi, −lo, 0)/255`, floored at 1e-8. The grid holds
+//! negative inputs, such as the image the stem reads, so every weighted
+//! op runs the integer kernel.
 //!
 //! Calibration is deterministic: one serial forward over the sample
 //! batch, per-op ranges folded in a fixed order.
 
-use crate::exec::{ActGrid, CompiledModel, ServeError};
+use crate::exec::{CompiledModel, ServeError};
 use csq_obs::json::{field, FromJson, Value};
 use csq_tensor::Tensor;
 use serde::Serialize;
 use std::collections::HashMap;
-
-/// Margin below zero tolerated before an op is declared non-integer
-/// (absorbs float rounding in an otherwise non-negative activation).
-const NEGATIVE_TOLERANCE: f32 = 1e-6;
 
 /// Smallest permissible calibrated step (guards against an op whose
 /// sample inputs were identically zero).
@@ -39,15 +32,12 @@ pub struct CalibrationEntry {
     /// Path of the weight tensor whose op this grid feeds
     /// (e.g. `"4.main.0.weight"`).
     pub weight_path: String,
-    /// Calibrated quantization step; codes cover `[0, 255·step]`.
+    /// Calibrated quantization step; codes cover `[−255·step, 255·step]`.
     pub step: f32,
     /// Smallest activation value observed entering the op.
     pub observed_lo: f32,
     /// Largest activation value observed entering the op.
     pub observed_hi: f32,
-    /// Whether the op runs on the integer kernels (`false`: observed
-    /// range includes negatives, op is served by the float fallback).
-    pub integer: bool,
 }
 
 /// Rejects a step that is not positive and finite: [`calibrate`] writes
@@ -67,19 +57,22 @@ impl FromJson for CalibrationEntry {
             step,
             observed_lo: field(v, ctx, "observed_lo")?,
             observed_hi: field(v, ctx, "observed_hi")?,
-            integer: field(v, ctx, "integer")?,
         })
     }
 }
 
+/// The step of the grid that holds `[lo, hi]`: `max(hi, −lo, 0)/255`,
+/// at least [`MIN_STEP`].
+fn grid_step(lo: f32, hi: f32) -> f32 {
+    (hi.max(-lo).max(0.0) / 255.0).max(MIN_STEP)
+}
+
 /// Runs the calibration sample batch `[S, C, H, W]` through `model`'s
 /// float path and freezes one activation grid per weighted op, in plan
-/// order.
-///
-/// `model` must be an *uncalibrated* [`CompiledModel`] (every weighted
-/// op on the float path); [`crate::ModelArtifact::export`] arranges
-/// this. An empty sample batch is rejected as
-/// [`ServeError::BadInput`].
+/// order. The float path ignores the grids `model` was bound with, so
+/// a compiled model calibrates to the same entries as the reference
+/// [`crate::ModelArtifact::export`] binds for this pass. An empty
+/// sample batch is rejected as [`ServeError::BadInput`].
 pub fn calibrate(
     model: &CompiledModel,
     samples: &Tensor,
@@ -92,27 +85,95 @@ pub fn calibrate(
         .into_iter()
         .map(|(weight_path, lo, hi)| CalibrationEntry {
             weight_path,
-            step: (hi.max(0.0) / 255.0).max(MIN_STEP),
+            step: grid_step(lo, hi),
             observed_lo: lo,
             observed_hi: hi,
-            integer: lo >= -NEGATIVE_TOLERANCE,
         })
         .collect())
 }
 
 /// Lowers calibration entries to the executor's lookup table
-/// (weight path → activation grid).
-pub(crate) fn grid_table(entries: &[CalibrationEntry]) -> HashMap<String, ActGrid> {
+/// (weight path → activation step).
+pub(crate) fn step_table(entries: &[CalibrationEntry]) -> HashMap<String, f32> {
     entries
         .iter()
-        .map(|e| {
-            (
-                e.weight_path.clone(),
-                ActGrid {
-                    step: e.step,
-                    integer: e.integer,
-                },
-            )
-        })
+        .map(|e| (e.weight_path.clone(), e.step))
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use csq_core::qinfer::QuantizedActivations;
+
+    /// Where format 1 served an op on the integer kernel, format 2 reads
+    /// the same codes for the same input: for every input ≥ 0, −0.0 and
+    /// NaN the signed grid's code equals format 1's unsigned code (its
+    /// expression is kept here), and for an observed `lo ≥ −1e-6` (format
+    /// 1's test for an integer op) the step is format 1's step.
+    #[test]
+    fn non_negative_inputs_keep_the_unsigned_grids_codes_and_step() {
+        let unsigned_code = |v: f32, step: f32| {
+            let hi = 255.0 * step;
+            ((v.clamp(0.0, hi) / step).round().min(255.0) + 8_388_608.0).to_bits() as u8
+        };
+        for step in [1e-8, 0.0123, 5.395 / 15.0, 1.0, 3.0e4] {
+            let mut xs = vec![
+                0.0,
+                -0.0,
+                f32::NAN,
+                f32::INFINITY,
+                f32::MAX,
+                f32::from_bits(1),
+                f32::MIN_POSITIVE,
+                0.499_999_97 * step,
+            ];
+            for n in 0..=300 {
+                let (v, half) = (n as f32 * step, (n as f32 + 0.5) * step);
+                xs.extend([
+                    v.next_down(),
+                    v,
+                    v.next_up(),
+                    half.next_down(),
+                    half,
+                    half.next_up(),
+                ]);
+            }
+            xs.retain(|v| v.is_nan() || *v >= 0.0);
+            let x = Tensor::from_vec(xs.clone(), &[xs.len()]);
+            let q = QuantizedActivations::quantize_with_step(&x, step).unwrap();
+            for (&v, &code) in xs.iter().zip(&q.codes) {
+                let want = i16::from(unsigned_code(v, step));
+                assert_eq!(code, want, "v = {v:e}, step = {step:e}");
+            }
+        }
+        let unsigned_step = |hi: f32| (hi.max(0.0) / 255.0).max(1e-8);
+        let los = [-1e-6, -1e-7, -f32::MIN_POSITIVE, -0.0, 0.0, 1e-9, 0.3, 5.0];
+        let his = [
+            f32::NEG_INFINITY,
+            -1.0,
+            0.0,
+            1e-9,
+            1e-6,
+            2.55e-6,
+            2.56e-6,
+            0.01,
+            5.395,
+            1e30,
+        ];
+        for (lo, hi) in los.into_iter().flat_map(|lo| his.map(|hi| (lo, hi))) {
+            assert_eq!(grid_step(lo, hi), unsigned_step(hi), "lo {lo:e}, hi {hi:e}");
+        }
+    }
+
+    /// The grid is symmetric: the step holds the larger of `hi` and
+    /// `−lo`.
+    #[test]
+    fn negative_inputs_set_the_step_by_their_magnitude() {
+        let step = grid_step(0.0, 2.55);
+        for (lo, hi) in [(-2.55, 1.0), (-1.0, 2.55), (-2.55, -1.0), (-2.55, 2.55)] {
+            assert_eq!(grid_step(lo, hi), step, "lo {lo}, hi {hi}");
+        }
+        assert_eq!(grid_step(-1e-9, 0.0), MIN_STEP);
+    }
 }

@@ -553,7 +553,7 @@ fn supervisor_loop(
 }
 
 fn worker_loop(shared: &Shared, worker: usize) {
-    let scratch: ScratchPool<u8> = ScratchPool::new();
+    let scratch: ScratchPool<i16> = ScratchPool::new();
     // Per-worker batch ordinal; restarts count from 0 again, which is
     // what keys ChaosPlan worker-kill entries deterministically.
     let mut ordinal: u64 = 0;
@@ -618,7 +618,7 @@ fn run_batch(
     worker: usize,
     ordinal: u64,
     batch: Vec<Request>,
-    scratch: &ScratchPool<u8>,
+    scratch: &ScratchPool<i16>,
 ) {
     let global = shared.batch_seq.fetch_add(1, Ordering::Relaxed);
     shared.metrics.queue_depth.add(-(batch.len() as i64));
@@ -763,7 +763,7 @@ fn reply(shared: &Shared, request: Request, result: Result<Tensor, ServeError>) 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::calibrate::grid_table;
+    use crate::calibrate::step_table;
     use crate::CalibrationEntry;
     use csq_core::PackedWeight;
     use csq_nn::InferOp;
@@ -794,7 +794,6 @@ mod tests {
             step: 0.01,
             observed_lo: 0.0,
             observed_hi: 2.55,
-            integer: true,
         }];
         CompiledModel::bind(
             "tiny".to_string(),
@@ -802,7 +801,7 @@ mod tests {
             2,
             &ops,
             &[weight],
-            Some(&grid_table(&calibration)),
+            Some(&step_table(&calibration)),
         )
         .unwrap()
     }
@@ -819,7 +818,7 @@ mod tests {
     #[test]
     fn engine_answers_match_direct_single_sample_forwards() {
         let reference = tiny_model();
-        let scratch: ScratchPool<u8> = ScratchPool::new();
+        let scratch: ScratchPool<i16> = ScratchPool::new();
         let engine = Engine::start(
             tiny_model(),
             EngineConfig {
@@ -898,7 +897,6 @@ mod tests {
             step: 0.01,
             observed_lo: 0.0,
             observed_hi: 2.55,
-            integer: true,
         }];
         CompiledModel::bind(
             "wide".to_string(),
@@ -906,7 +904,7 @@ mod tests {
             n,
             &ops,
             &[weight],
-            Some(&grid_table(&calibration)),
+            Some(&step_table(&calibration)),
         )
         .unwrap()
     }
@@ -949,7 +947,7 @@ mod tests {
     #[test]
     fn engine_survives_queue_lock_poisoning() {
         let reference = tiny_model();
-        let scratch: ScratchPool<u8> = ScratchPool::new();
+        let scratch: ScratchPool<i16> = ScratchPool::new();
         let engine = Engine::start(
             tiny_model(),
             EngineConfig {
@@ -1086,7 +1084,7 @@ mod tests {
         const THREADS: usize = 4;
         const PER_THREAD: usize = 50;
         const SAMPLES: usize = 8;
-        let scratch: ScratchPool<u8> = ScratchPool::new();
+        let scratch: ScratchPool<i16> = ScratchPool::new();
         let reference = |offset: i32| -> Vec<Vec<f32>> {
             let model = tiny_model_with(offset);
             (0..SAMPLES)
@@ -1152,7 +1150,7 @@ mod tests {
 
     #[test]
     fn swap_model_serves_new_version_and_validates_contract() {
-        let scratch: ScratchPool<u8> = ScratchPool::new();
+        let scratch: ScratchPool<i16> = ScratchPool::new();
         let engine = Engine::start(
             tiny_model(),
             EngineConfig {

@@ -6,17 +6,14 @@
 //! Two execution modes exist over the same plan:
 //!
 //! * **Integer mode** ([`CompiledModel::forward_batch`]) — the deployment
-//!   path. Inputs to each weighted op are quantized to 8-bit codes with
-//!   that op's *calibrated* step, and every conv (dense, grouped or
-//!   depthwise) and linear op runs the one exact integer kernel: each
-//!   sample's codes are copied once into a channels-last `i16` plane,
-//!   read at every tap against weight panels packed once at bind time
-//!   as an [`IntegerWeight`] (8 output channels per vector), exact
-//!   `i32`/`i64` sums, one float scale per output. Nothing is selected
-//!   per request. Ops whose calibrated input range dips below zero (the
-//!   raw-image stem) fall back to exact float arithmetic on the unpacked
-//!   weights — the standard "keep the first layer in higher precision"
-//!   deployment practice.
+//!   path. The input to each weighted op is quantized to signed codes in
+//!   ±255 with that op's *calibrated* step, and every conv (dense,
+//!   grouped or depthwise) and linear op, the stem included, runs the one
+//!   exact integer kernel: each sample's codes are copied once into a
+//!   channels-last `i16` plane, read at every tap against weight panels
+//!   packed once at bind time as an [`IntegerWeight`] (8 output channels
+//!   per vector), exact `i32`/`i64` sums, one float scale per output.
+//!   Nothing is selected per op or per request.
 //! * **Float mode** ([`CompiledModel::forward_float`]) — the reference
 //!   path used by calibration and accuracy-parity checks: identical
 //!   dataflow, unpacked (bit-exact) weights, no activation quantization.
@@ -132,17 +129,6 @@ impl From<QinferError> for ServeError {
     }
 }
 
-/// Per-weighted-op activation quantization decided by calibration.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct ActGrid {
-    /// Calibrated quantization step (`code = round(clamp(v,0,255·step)/step)`).
-    pub(crate) step: f32,
-    /// Whether the op runs on the integer kernels (`false` = float
-    /// fallback because the calibrated input range includes negatives,
-    /// or the model is not calibrated yet).
-    pub(crate) integer: bool,
-}
-
 /// One executable op bound to its weight slot.
 #[derive(Debug, Clone)]
 enum BoundOp {
@@ -153,12 +139,12 @@ enum BoundOp {
         widx: usize,
         spec: ConvSpec,
         bias: Option<Tensor>,
-        grid: ActGrid,
+        step: f32,
     },
     Linear {
         widx: usize,
         bias: Option<Tensor>,
-        grid: ActGrid,
+        step: f32,
     },
     ChannelAffine {
         scale: Vec<f32>,
@@ -188,41 +174,13 @@ enum BoundOp {
 }
 
 /// A packed weight plus its exact float reconstruction (for the float
-/// reference path and fallback ops) and its integer-kernel panels, both
-/// built once at bind time.
+/// reference path) and its integer-kernel panels, both built once at
+/// bind time.
 #[derive(Debug, Clone)]
 struct BoundWeight {
     packed: PackedWeight,
     float: Tensor,
     integer: IntegerWeight,
-}
-
-/// The kernel class one weighted op runs in one forward.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum PathChoice {
-    /// Exact float arithmetic on the unpacked weight.
-    Float,
-    /// The integer kernel on quantized codes.
-    Integer,
-}
-
-impl PathChoice {
-    /// The integer kernel for an integer-grid op of an integer forward,
-    /// exact float arithmetic otherwise.
-    fn of(grid: &ActGrid, integer: bool) -> PathChoice {
-        if integer && grid.integer {
-            PathChoice::Integer
-        } else {
-            PathChoice::Float
-        }
-    }
-
-    fn class(self) -> &'static str {
-        match self {
-            PathChoice::Float => "float",
-            PathChoice::Integer => "integer",
-        }
-    }
 }
 
 /// Why an op plan could not be bound to weights/calibration.
@@ -305,7 +263,7 @@ impl std::fmt::Display for BindError {
 impl std::error::Error for BindError {}
 
 /// An immutable, executable model: exported op plan bound to packed
-/// weights and calibrated activation grids. Shareable across threads
+/// weights and calibrated activation steps. Shareable across threads
 /// (`Arc<CompiledModel>`); all forwards take `&self`.
 #[derive(Debug)]
 pub struct CompiledModel {
@@ -317,10 +275,12 @@ pub struct CompiledModel {
 }
 
 impl CompiledModel {
-    /// Binds `ops` to `weights`, with per-weighted-op grids looked up in
-    /// `calibration` (path → `ActGrid`). `calibration = None` builds an
-    /// *uncalibrated* model in which every weighted op runs the float
-    /// fallback — the executor the calibration pass itself uses.
+    /// Binds `ops` to `weights`, with per-weighted-op activation steps
+    /// looked up in `calibration` (weight path → step).
+    /// `calibration = None` binds every step to 1: an *uncalibrated*
+    /// model whose integer forward would answer on the wrong grids.
+    /// [`crate::ModelArtifact::export`] binds one for calibration's float
+    /// pass and drops it; nothing serves it.
     ///
     /// Binding is where a plan's shapes are checked
     /// ([`BindError::Shape`]); the request path trusts them.
@@ -330,7 +290,7 @@ impl CompiledModel {
         num_classes: usize,
         ops: &[InferOp],
         packed: &[PackedWeight],
-        calibration: Option<&HashMap<String, ActGrid>>,
+        calibration: Option<&HashMap<String, f32>>,
     ) -> Result<CompiledModel, BindError> {
         let mut weights = Vec::with_capacity(packed.len());
         for p in packed {
@@ -394,19 +354,15 @@ impl CompiledModel {
         self.num_classes
     }
 
-    /// The kernel class of every weighted op, in execution order. The
-    /// class depends on calibration only, so the plan is the same at
-    /// every batch size.
+    /// The kernel class of every weighted op, in execution order: the
+    /// integer kernel, at every batch size.
     pub fn kernel_plan(&self, _batch: usize) -> Vec<KernelPlanEntry> {
         weighted_ops(&self.plan)
             .into_iter()
-            .map(|(op, widx, grid)| {
-                let choice = PathChoice::of(&grid, true);
-                KernelPlanEntry {
-                    path: self.weights[widx].packed.path.clone(),
-                    op,
-                    class: choice.class(),
-                }
+            .map(|(op, widx)| KernelPlanEntry {
+                path: self.weights[widx].packed.path.clone(),
+                op,
+                class: "integer",
             })
             .collect()
     }
@@ -427,18 +383,18 @@ impl CompiledModel {
         }
     }
 
-    /// Deployment forward: integer kernels with calibrated activation
-    /// grids (float fallback where calibration demanded it). `x` is
-    /// `[N, C, H, W]`; returns logits `[N, num_classes]`. `scratch`
-    /// recycles activation-code buffers — engine workers own one pool
-    /// each.
+    /// Deployment forward: every weighted op on the integer kernel with
+    /// its calibrated activation grid. `x` is `[N, C, H, W]`; returns
+    /// logits `[N, num_classes]`. `scratch` recycles the activation-code
+    /// buffers and the integer conv's planes — engine workers own one
+    /// pool each.
     ///
     /// Per-sample kernels plus fixed calibrated grids make the result
     /// bit-identical for any batching of the same samples.
     pub fn forward_batch(
         &self,
         x: &Tensor,
-        scratch: &ScratchPool<u8>,
+        scratch: &ScratchPool<i16>,
     ) -> Result<Tensor, ServeError> {
         self.run(x, scratch, true, None)
     }
@@ -470,7 +426,7 @@ impl CompiledModel {
     fn run(
         &self,
         x: &Tensor,
-        scratch: &ScratchPool<u8>,
+        scratch: &ScratchPool<i16>,
         integer: bool,
         observer: Option<&mut Observer<'_>>,
     ) -> Result<Tensor, ServeError> {
@@ -479,7 +435,6 @@ impl CompiledModel {
         let ctx = ExecCtx {
             weights,
             scratch,
-            planes: ScratchPool::new(),
             integer,
         };
         run_ops(&ctx, &self.plan, x.clone(), observer)
@@ -494,20 +449,19 @@ pub struct KernelPlanEntry {
     pub path: String,
     /// Op kind: `conv2d` (dense, grouped or depthwise) or `linear`.
     pub op: &'static str,
-    /// Kernel class: `integer` (the integer kernel) or `float` (the exact
-    /// float fallback).
+    /// Kernel class: `integer`, the integer kernel, for every op.
     pub class: &'static str,
 }
 
 /// Every weighted op of a plan in execution order (a residual block's
-/// main branch, then its shortcut, then its post ops): op kind, weight
-/// index and activation grid.
-fn weighted_ops(plan: &[BoundOp]) -> Vec<(&'static str, usize, ActGrid)> {
+/// main branch, then its shortcut, then its post ops): op kind and
+/// weight index.
+fn weighted_ops(plan: &[BoundOp]) -> Vec<(&'static str, usize)> {
     let mut out = Vec::new();
     for op in plan {
         match op {
-            BoundOp::Conv { widx, grid, .. } => out.push(("conv2d", *widx, *grid)),
-            BoundOp::Linear { widx, grid, .. } => out.push(("linear", *widx, *grid)),
+            BoundOp::Conv { widx, .. } => out.push(("conv2d", *widx)),
+            BoundOp::Linear { widx, .. } => out.push(("linear", *widx)),
             BoundOp::Residual {
                 main,
                 shortcut,
@@ -523,15 +477,9 @@ fn weighted_ops(plan: &[BoundOp]) -> Vec<(&'static str, usize, ActGrid)> {
     out
 }
 
-fn lookup_grid(
-    path: &str,
-    calibration: Option<&HashMap<String, ActGrid>>,
-) -> Result<ActGrid, BindError> {
+fn lookup_step(path: &str, calibration: Option<&HashMap<String, f32>>) -> Result<f32, BindError> {
     match calibration {
-        None => Ok(ActGrid {
-            step: 1.0,
-            integer: false,
-        }),
+        None => Ok(1.0),
         Some(table) => table
             .get(path)
             .copied()
@@ -573,7 +521,7 @@ fn bind_ops(
     at: &str,
     mut dims: Vec<usize>,
     by_path: &HashMap<&str, (usize, &[usize])>,
-    grids: Option<&HashMap<String, ActGrid>>,
+    steps: Option<&HashMap<String, f32>>,
 ) -> Result<(Vec<BoundOp>, Vec<usize>), BindError> {
     let mut plan = Vec::with_capacity(ops.len());
     for (i, op) in ops.iter().enumerate() {
@@ -593,12 +541,11 @@ fn bind_ops(
             reason,
         };
         let positive = |v: f32| v.is_finite() && v > 0.0;
-        // A weighted op's calibrated grid, its step one the codes can use.
-        let grid = |w: &str| match lookup_grid(w, grids)? {
-            g if positive(g.step) => Ok(g),
-            g => Err(refused(format!(
-                "calibration step {} must be positive and finite",
-                g.step
+        // A weighted op's calibrated step, one the codes can use.
+        let step = |w: &str| match lookup_step(w, steps)? {
+            s if positive(s) => Ok(s),
+            s => Err(refused(format!(
+                "calibration step {s} must be positive and finite"
             ))),
         };
         if dims.contains(&0) {
@@ -626,7 +573,7 @@ fn bind_ops(
         };
         let branch = |ops, name, dims| {
             let at = format!("{path}.Residual.{name}");
-            bind_ops(ops, &at, dims, by_path, grids)
+            bind_ops(ops, &at, dims, by_path, steps)
         };
         let (bound, out) = match op {
             &InferOp::Conv2d {
@@ -660,7 +607,7 @@ fn bind_ops(
                     widx,
                     spec: ConvSpec::new(*kernel, *stride, *padding),
                     bias: bias(b, *out_channels)?,
-                    grid: grid(weight)?,
+                    step: step(weight)?,
                 };
                 (bound, vec![*out_channels, oh, ow])
             }
@@ -677,8 +624,8 @@ fn bind_ops(
                 out_features,
                 bias: b,
             } if dims == [*in_features] => {
-                let (bias, grid) = (bias(b, *out_features)?, grid(weight)?);
-                (BoundOp::Linear { widx, bias, grid }, vec![*out_features])
+                let (bias, step) = (bias(b, *out_features)?, step(weight)?);
+                (BoundOp::Linear { widx, bias, step }, vec![*out_features])
             }
             InferOp::ChannelAffine { scale, shift } if scale.len() != shift.len() => {
                 let (a, b) = (scale.len(), shift.len());
@@ -770,22 +717,21 @@ fn profile_meta(
     op: &BoundOp,
     weights: &[BoundWeight],
     integer: bool,
-) -> Option<(&'static str, PathChoice, u64)> {
+) -> Option<(&'static str, &'static str, u64)> {
     // Weight bytes actually read: the integer kernel its `i16` panels, the
-    // float path the unpacked `f32` weight.
-    let weighted = |kind: &'static str, widx: &usize, grid: &ActGrid| {
+    // float reference the unpacked `f32` weight.
+    let weighted = |kind: &'static str, widx: &usize| {
         let w = &weights[*widx];
-        let choice = PathChoice::of(grid, integer);
-        let bytes = match choice {
-            PathChoice::Integer => w.integer.code_bytes(),
-            PathChoice::Float => w.float.numel() * std::mem::size_of::<f32>(),
-        };
-        Some((kind, choice, bytes as u64))
+        Some(if integer {
+            (kind, "integer", w.integer.code_bytes() as u64)
+        } else {
+            (kind, "float", (w.float.numel() * size_of::<f32>()) as u64)
+        })
     };
-    let float = |kind: &'static str| Some((kind, PathChoice::Float, 0));
+    let float = |kind: &'static str| Some((kind, "float", 0));
     match op {
-        BoundOp::Conv { widx, grid, .. } => weighted("conv2d", widx, grid),
-        BoundOp::Linear { widx, grid, .. } => weighted("linear", widx, grid),
+        BoundOp::Conv { widx, .. } => weighted("conv2d", widx),
+        BoundOp::Linear { widx, .. } => weighted("linear", widx),
         BoundOp::ChannelAffine { .. } => float("channel_affine"),
         BoundOp::Relu => float("relu"),
         BoundOp::UniformActQuant { .. } => float("act_quant"),
@@ -801,31 +747,29 @@ fn profile_meta(
 /// code buffer.
 fn on_codes(
     x: &Tensor,
-    grid: &ActGrid,
+    step: f32,
     w: &BoundWeight,
-    scratch: &ScratchPool<u8>,
+    scratch: &ScratchPool<i16>,
     kernel: impl FnOnce(&QuantizedActivations, &IntegerWeight) -> Result<Tensor, QinferError>,
 ) -> Result<Tensor, ServeError> {
-    let q = QuantizedActivations::quantize_with_step_into(x, grid.step, scratch.take(x.numel()))?;
+    let q = QuantizedActivations::quantize_with_step_into(x, step, scratch.take(x.numel()))?;
     let y = kernel(&q, &w.integer);
     scratch.give(q.codes);
     Ok(y?)
 }
 
 /// Everything a forward pass threads through the op loop unchanged:
-/// the bound weights, the code scratch pool, the integer conv's plane
-/// pool (one per forward), and whether integer-grid ops run on the
-/// integer kernel (`false` = the float reference path).
+/// the bound weights, the caller's scratch pool (code buffers and conv
+/// planes), and whether weighted ops run on the integer kernel (`false`
+/// = the float reference path).
 struct ExecCtx<'a> {
     weights: &'a [BoundWeight],
-    scratch: &'a ScratchPool<u8>,
-    planes: ScratchPool<i16>,
+    scratch: &'a ScratchPool<i16>,
     integer: bool,
 }
 
 /// Runs a plan: each weighted op takes the integer kernel in an integer
-/// forward where calibration allows, else the exact float path on the
-/// unpacked weight.
+/// forward, else the exact float path on the unpacked weight.
 fn run_ops(
     ctx: &ExecCtx<'_>,
     plan: &[BoundOp],
@@ -839,10 +783,10 @@ fn run_ops(
         // relaxed atomic load). Input shape is captured before the op
         // consumes `x`; bytes = input + output activations + weights.
         let prof = if profiler.enabled() {
-            profile_meta(op, weights, integer).map(|(kind, choice, wbytes)| {
+            profile_meta(op, weights, integer).map(|(kind, class, wbytes)| {
                 (
                     kind,
-                    choice,
+                    class,
                     wbytes,
                     x.dims().to_vec(),
                     x.numel(),
@@ -857,27 +801,29 @@ fn run_ops(
                 widx,
                 spec,
                 bias,
-                grid,
+                step,
             } => {
                 observe(&mut observer, *widx, &x);
                 let w = &weights[*widx];
-                let y = match PathChoice::of(grid, integer) {
-                    PathChoice::Integer => on_codes(&x, grid, w, scratch, |q, iw| {
-                        conv2d_integer(q, iw, *spec, &ctx.planes)
-                    })?,
-                    PathChoice::Float => conv2d(&x, &w.float, *spec),
+                let y = if integer {
+                    on_codes(&x, *step, w, scratch, |q, iw| {
+                        conv2d_integer(q, iw, *spec, scratch)
+                    })?
+                } else {
+                    conv2d(&x, &w.float, *spec)
                 };
                 match bias {
                     Some(b) => y.add_channel_bias(b),
                     None => y,
                 }
             }
-            BoundOp::Linear { widx, bias, grid } => {
+            BoundOp::Linear { widx, bias, step } => {
                 observe(&mut observer, *widx, &x);
                 let w = &weights[*widx];
-                let y = match PathChoice::of(grid, integer) {
-                    PathChoice::Integer => on_codes(&x, grid, w, scratch, linear_integer)?,
-                    PathChoice::Float => x.matmul_nt(&w.float),
+                let y = if integer {
+                    on_codes(&x, *step, w, scratch, linear_integer)?
+                } else {
+                    x.matmul_nt(&w.float)
                 };
                 match bias {
                     Some(b) => y.add_row_bias(b),
@@ -931,12 +877,12 @@ fn run_ops(
                 run_ops(ctx, post, merged, observer.as_deref_mut())?
             }
         };
-        if let Some((kind, choice, wbytes, in_dims, in_numel, start)) = prof {
+        if let Some((kind, class, wbytes, in_dims, in_numel, start)) = prof {
             let wall_ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
             let act_bytes = ((in_numel + x.numel()) * std::mem::size_of::<f32>()) as u64;
             profiler.record(
                 kind,
-                choice.class(),
+                class,
                 "dense",
                 &csq_obs::profiler::shape_key(&in_dims),
                 wall_ns,

@@ -14,12 +14,11 @@
 //!   quantization step by observing a small sample set on the float
 //!   reference path, so every request shares one grid and batching is
 //!   bit-deterministic.
-//! * [`CompiledModel`] — an immutable executor over the artifact:
-//!   where calibration allows, each weighted op runs the one exact
-//!   integer kernel (u8 activation codes in a channels-last `i16` plane
-//!   against `i16` weight panels, `i32` partial sums added up in `i64`);
-//!   exact float fallback where calibration does not allow integer
-//!   execution (signed stem inputs).
+//! * [`CompiledModel`] — an immutable executor over the artifact: each
+//!   weighted op, the stem on the signed image included, runs the one
+//!   exact integer kernel (signed activation codes in ±255 in a
+//!   channels-last `i16` plane against `i16` weight panels, `i32` partial
+//!   sums added up in `i64`).
 //! * [`Engine`] — a micro-batching server: bounded submission queue,
 //!   worker threads that fuse up to `max_batch` requests (or whatever
 //!   arrives within `batch_window`) into one forward, per-worker

@@ -312,8 +312,8 @@ where
 /// results — only allocation traffic.
 ///
 /// The element type defaults to `f32` (the training workspaces); the
-/// serving path pools `u8` activation-code buffers through the same
-/// type.
+/// serving path pools its `i16` activation-code buffers and conv planes
+/// through the same type.
 #[derive(Debug, Default)]
 pub struct ScratchPool<T = f32> {
     bufs: Mutex<Vec<Vec<T>>>,
@@ -488,7 +488,7 @@ mod tests {
 
     #[test]
     fn scratch_pool_is_generic_over_element_type() {
-        let pool: ScratchPool<u8> = ScratchPool::new();
+        let pool: ScratchPool<i16> = ScratchPool::new();
         let mut b = pool.take_zeroed(16);
         assert!(b.iter().all(|&v| v == 0));
         b[0] = 255;

@@ -36,13 +36,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Run the stem convolution two ways: float reference vs integer
-    // arithmetic on 8-bit activation codes.
+    // arithmetic on signed activation codes in ±255, whose step holds the
+    // image's largest magnitude (a served model calibrates it once).
     let mut rng = ChaCha8Rng::seed_from_u64(7);
-    let x = init::uniform(&[1, 3, 16, 16], 0.0, 1.0, &mut rng);
+    let x = init::uniform(&[1, 3, 16, 16], -1.0, 1.0, &mut rng);
     let stem = &packed.layers[0];
     let spec = ConvSpec::new(3, 1, 1);
 
-    let xq = QuantizedActivations::quantize(&x)?;
+    let xq = QuantizedActivations::quantize_with_step(&x, x.max_abs() / 255.0)?;
     let y_int = conv2d_integer(
         &xq,
         &IntegerWeight::from_packed(stem)?,

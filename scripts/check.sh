@@ -21,16 +21,22 @@ echo "==> cargo test --workspace (every crate's unit, integration and doc tests)
 # One run covers every gated invariant:
 # - bit-exactness: the float GEMM and the conv forward and gradients
 #   against naive loops (csq-tensor gemm::, kernel_equivalence,
-#   kernel_equivalence_prop), the integer kernels (csq-core
-#   integer_kernels; its conv sweep must meet a lane tail, a depthwise
-#   block, lanes spanning groups with 1 < OC/G < 8, an odd channel count
-#   per group, a short 8-position strip, a 1x1 stride-2 conv and the
-#   served 3x3 convs at 8, 16 and 32 channels; the kernel's AVX2 and
-#   portable bodies agree in csq-core qinfer::), the served model's
-#   forward_batch at 1 and 4
+#   kernel_equivalence_prop), the integer kernels on signed activation
+#   codes (csq-core integer_kernels; its conv sweep must meet a lane
+#   tail, a depthwise block, lanes spanning groups with 1 < OC/G < 8, an
+#   odd channel count per group, a short 8-position strip, a 1x1
+#   stride-2 conv and the served 3x3 convs at 8, 16 and 32 channels; the
+#   kernel's AVX2 and portable bodies agree in csq-core qinfer::, and
+#   codes and steps of non-negative inputs equal the unsigned grid's in
+#   csq-serve calibrate::), the served model's forward_batch at 1 and 4
 #   threads and against single samples (csq-serve serve_end_to_end),
 #   training at 1 and 4 threads (parallel_determinism), and crash
 #   resume in both training phases (failure_injection);
+# - integer-only serving: every weighted op of the served ResNets and of
+#   a MobileNetV2 runs the integer kernel, and on 200 held-out images a
+#   ResNet-20's and the MobileNetV2's served labels stay within 5 points
+#   of forward_float's accuracy and agree with its argmax on 80% or more
+#   (csq-serve serve_end_to_end);
 # - serve chaos: deterministic fault drills (serve_chaos);
 # - fleet chaos: kills a whole replica group under two-tenant load
 #   (in-flight requests must drain with answers, later submissions fail
@@ -74,14 +80,21 @@ echo "    $(ls "$postmortem_dir" | wc -l) postmortem dump(s), all well-formed"
 
 echo "==> serve smoke (perfbench serve_closed, every answer checked bit for bit)"
 # The closed loop, the exec probe and the four-model fleet probe check
-# every answer against its single-sample reference; the run writes
-# nothing under bench_results/.
+# every answer against its single-sample reference, and the served
+# model's kernel plan must put every weighted op on the integer kernel;
+# the run writes nothing under bench_results/.
 python3 perfbench/run.py --workload serve_closed --seed 1 --seconds 4 --trace 1 \
   | tail -n 1 | python3 -c '
 import json, sys
 r = json.loads(sys.stdin.read())
-print("    correct=%s attempted=%s failed=%s" % (r["correct"], r["attempted"], r["failed"]))
-sys.exit(0 if r["correct"] is True and r["failed"] == 0 else "FAIL: serve smoke")'
+ops = {c: r["metrics"]["csq_serve.exec.%s_ops" % c]["value"] for c in ("integer", "float")}
+print("    correct=%s attempted=%s failed=%s integer_ops=%s float_ops=%s"
+      % (r["correct"], r["attempted"], r["failed"], ops["integer"], ops["float"]))
+ok = r["correct"] is True and r["failed"] == 0 and ops["float"] == 0 and ops["integer"] > 0
+sys.exit(0 if ok else "FAIL: serve smoke")'
+
+echo "==> integer inference example (a signed stem conv on the integer kernel)"
+cargo run --release --example integer_inference
 
 echo "==> fixture export smoke (artifacts bin, in a temporary directory)"
 # Trains the CSQ model and the 8/4/3/2-bit sweep at a tiny scale, saves

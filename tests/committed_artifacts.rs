@@ -17,26 +17,26 @@ use csq_repro::tensor::Tensor;
 
 /// `(artifact, forward_batch hash, forward_float hash)`.
 const PINNED: [(&str, u64, u64); 5] = [
-    ("resnet-csq.csqm", 0x2efbe4522da33637, 0x7eaa4b902ba3b2b5),
+    ("resnet-csq.csqm", 0xfa4e96e3f0ef0837, 0x7b5c78ed94f43c94),
     (
         "fleet_registry/resnet8b-v1.csqm",
-        0x7a384b2467ed6006,
-        0xe6ee34d3c68991b1,
+        0xcad819c7c4bb5d19,
+        0xf09a20bae2797f87,
     ),
     (
         "fleet_registry/resnet4b-v1.csqm",
-        0xcc197da76dadaec5,
-        0x94b891bb185988b0,
+        0x9d179b9d467403ce,
+        0x34c9ed42dfe5c4aa,
     ),
     (
         "fleet_registry/resnet3b-v1.csqm",
-        0x2f35c2626d61b433,
-        0x6c352779ab4512ab,
+        0xbe646e2a8fde5d6d,
+        0x74d4c27293883c7a,
     ),
     (
         "fleet_registry/resnet2b-v1.csqm",
-        0x5da4dc7c72988623,
-        0x57596a4bf2a6d3c4,
+        0xc7313ffc9bf427ec,
+        0x0b7cfea0e7175f8e,
     ),
 ];
 
@@ -80,7 +80,7 @@ fn committed_artifacts_answer_as_pinned() {
             Err(e) => panic!("{} does not load: {e}", path.display()),
         };
         let x = inputs(model.input_dims());
-        let scratch: ScratchPool<u8> = ScratchPool::new();
+        let scratch: ScratchPool<i16> = ScratchPool::new();
         let forward = |threads| {
             par::with_threads(threads, || model.forward_batch(&x, &scratch))
                 .unwrap_or_else(|e| panic!("{file}: forward_batch failed: {e}"))

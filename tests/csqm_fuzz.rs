@@ -112,7 +112,7 @@ impl Payload {
 }
 
 /// One sample of a compiled model's input shape, `[1, ...]`, with
-/// values in `[-1, 1]` so that the float stem sees negatives.
+/// values in `[-1, 1]` so that the stem sees negatives.
 fn probe_input(model: &CompiledModel) -> Tensor {
     let dims = model.input_dims();
     let n: usize = dims.iter().product();
@@ -334,8 +334,11 @@ fn zero_step_and_mismatched_residual_are_typed_errors_naming_the_op() {
         std::fs::remove_file(&path).ok();
         loaded
     };
-    let step = "\"step\":0.026000501587986946,\"weight_path\":\"5.main.0.weight\"";
-    match edit(step, &step.replace("0.026000501587986946", "0")) {
+    // `5.main.0`'s calibration entry ends with its step and its path.
+    let path = ",\"weight_path\":\"5.main.0.weight\"";
+    let at = text.find(path).expect("5.main.0's calibration entry");
+    let step = &text[text[..at].rfind("\"step\":").expect("its step")..at + path.len()];
+    match edit(step, &format!("\"step\":0{path}")) {
         Err(ArtifactError::Json(msg)) => assert!(
             msg.contains("artifact.calibration[")
                 && msg.contains("].step")

@@ -55,7 +55,6 @@ fn toy_artifact(name: &str, offset: i32) -> ModelArtifact {
             step: 0.01,
             observed_lo: 0.0,
             observed_hi: 2.55,
-            integer: true,
         }],
     }
 }
@@ -83,7 +82,7 @@ fn sample(seed: usize) -> Tensor {
 }
 
 fn reference_row(artifact: &ModelArtifact, s: &Tensor) -> Vec<f32> {
-    let scratch: ScratchPool<u8> = ScratchPool::new();
+    let scratch: ScratchPool<i16> = ScratchPool::new();
     let one = s.reshape(&[1, 3]);
     artifact
         .compile()

@@ -66,7 +66,6 @@ fn toy_artifact(name: &str, offset: i32) -> ModelArtifact {
             step: 0.01,
             observed_lo: 0.0,
             observed_hi: 2.55,
-            integer: true,
         }],
     }
 }
@@ -79,7 +78,7 @@ fn sample(seed: usize) -> Tensor {
 /// What a lone engine answers for one sample: the forward of the
 /// artifact's offline compile on a batch of exactly that sample.
 fn reference_row(artifact: &ModelArtifact, s: &Tensor) -> Vec<f32> {
-    let scratch: ScratchPool<u8> = ScratchPool::new();
+    let scratch: ScratchPool<i16> = ScratchPool::new();
     let one = s.reshape(&[1, 3]);
     artifact
         .compile()
@@ -294,7 +293,7 @@ fn poisoned_canary_rolls_back_to_the_incumbent() {
     );
     // Pin expectations that v2 cannot meet (they are v1's outputs):
     // the canary must catch it on the first replica and roll back.
-    let scratch: ScratchPool<u8> = ScratchPool::new();
+    let scratch: ScratchPool<i16> = ScratchPool::new();
     let wrong = v1
         .artifact
         .compile()
@@ -365,7 +364,7 @@ fn a_burst_past_every_replica_queue_is_shed_and_counted() {
         })
         .collect();
     let compiled = slow.compile().unwrap();
-    let scratch: ScratchPool<u8> = ScratchPool::new();
+    let scratch: ScratchPool<i16> = ScratchPool::new();
     let refs: Vec<Vec<f32>> = inputs
         .iter()
         .map(|x| {

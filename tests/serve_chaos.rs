@@ -71,7 +71,6 @@ fn linear_artifact(
             step: 0.01,
             observed_lo: 0.0,
             observed_hi: 2.55,
-            integer: true,
         }],
     }
 }
@@ -89,7 +88,7 @@ fn sample(i: usize) -> Tensor {
 /// served alone. Bit-determinism of the executor makes this THE answer
 /// any chaos-surviving request must reproduce exactly.
 fn reference_row(model: &CompiledModel, x: &Tensor) -> Vec<f32> {
-    let scratch: ScratchPool<u8> = ScratchPool::new();
+    let scratch: ScratchPool<i16> = ScratchPool::new();
     let mut dims = vec![1];
     dims.extend_from_slice(x.dims());
     model
