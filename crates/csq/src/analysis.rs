@@ -1,95 +1,12 @@
-//! Training diagnostics: how discrete the relaxed model currently is.
+//! Model diagnostics: a per-layer map of a model.
 //!
-//! Figure 1(a) of the paper illustrates the temperature sigmoid
-//! sharpening toward a step function; this module measures the same
-//! phenomenon on a live model — how close every gate's output is to
-//! {0, 1} — which is the quantity that determines how much accuracy the
-//! final hard snap can cost. The trainer's `beta_saturate` knob exists
-//! precisely to drive these statistics toward 1 before finalization.
+//! [`model_summary`] lists every leaf layer with its stable path, its
+//! kind, its parameters broken down by role and its hard-counted
+//! precision, so a mixed-precision scheme can be discussed by layer name
+//! (`"4.main.0"`) instead of by visitation index. The bench bins'
+//! `--summary` flag prints it.
 
-use crate::gate::temp_sigmoid;
 use csq_nn::{Layer, ParamPath, ParamRole};
-
-/// Discreteness statistics of a set of gates.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
-pub struct GateStats {
-    /// Number of gate values inspected.
-    pub count: usize,
-    /// Mean distance of gate outputs from the nearer of {0, 1}
-    /// (0 = perfectly discrete, 0.5 = maximally soft).
-    pub mean_softness: f32,
-    /// Worst-case distance from {0, 1}.
-    pub max_softness: f32,
-    /// Fraction of gates within 0.01 of {0, 1}.
-    pub frac_discrete: f32,
-}
-
-impl GateStats {
-    fn from_values(values: impl Iterator<Item = f32>) -> GateStats {
-        let mut count = 0usize;
-        let mut sum = 0.0f64;
-        let mut max = 0.0f32;
-        let mut discrete = 0usize;
-        for g in values {
-            let d = g.min(1.0 - g).max(0.0);
-            count += 1;
-            sum += d as f64;
-            max = max.max(d);
-            if d <= 0.01 {
-                discrete += 1;
-            }
-        }
-        GateStats {
-            count,
-            mean_softness: if count == 0 {
-                0.0
-            } else {
-                (sum / count as f64) as f32
-            },
-            max_softness: max,
-            frac_discrete: if count == 0 {
-                1.0
-            } else {
-                discrete as f32 / count as f32
-            },
-        }
-    }
-}
-
-/// Gate-discreteness statistics of every `BitQuantizer`-style weight
-/// source in a model, measured at the given temperature on the bit-mask
-/// logits (the level-2 gates that decide layer precision).
-///
-/// Sources without a searched mask contribute nothing.
-pub fn mask_gate_stats(model: &mut dyn Layer, beta: f32) -> GateStats {
-    let mut values = Vec::new();
-    model.visit_weight_sources(&mut |src| {
-        if let Some(soft) = src.soft_precision() {
-            // Reconstruct per-bit gate values only when the source also
-            // exposes a mask; otherwise use the aggregate as one sample.
-            if let Some(mask) = src.bit_mask() {
-                if !mask.is_empty() {
-                    // soft_precision is the sum of the mask gates; the
-                    // per-bit values are not individually exposed through
-                    // the trait, so sample the aggregate softness:
-                    // distance between the soft sum and the hard count.
-                    let hard = mask.iter().filter(|&&m| m).count() as f32;
-                    let spread = (soft - hard).abs() / mask.len() as f32;
-                    values.push(0.5 - (0.5 - spread).abs());
-                }
-            }
-        }
-    });
-    let _ = beta;
-    GateStats::from_values(values.into_iter())
-}
-
-/// Discreteness of a standalone logit set under `f_β` — the exact curve
-/// of Figure 1(a): the same logits become arbitrarily discrete as β
-/// grows.
-pub fn logit_gate_stats(logits: &[f32], beta: f32) -> GateStats {
-    GateStats::from_values(logits.iter().map(|&m| temp_sigmoid(m, beta)))
-}
 
 /// One row of a [`ModelSummary`]: a leaf layer, its parameters broken
 /// down by role, and its current precision when it owns a weight source.
@@ -243,50 +160,6 @@ mod tests {
     use super::*;
     use crate::bitrep::csq_factory;
     use csq_nn::models::{resnet_cifar, ModelConfig};
-
-    #[test]
-    fn logits_sharpen_with_temperature() {
-        let logits = [-0.5f32, -0.1, 0.05, 0.3, 1.0];
-        let cold = logit_gate_stats(&logits, 1.0);
-        let warm = logit_gate_stats(&logits, 20.0);
-        let hot = logit_gate_stats(&logits, 500.0);
-        assert_eq!(cold.count, 5);
-        assert!(cold.mean_softness > warm.mean_softness);
-        assert!(warm.mean_softness > hot.mean_softness);
-        assert!(hot.frac_discrete > 0.9, "{hot:?}");
-        assert!(cold.frac_discrete < 0.5, "{cold:?}");
-    }
-
-    #[test]
-    fn empty_logits_are_trivially_discrete() {
-        let s = logit_gate_stats(&[], 10.0);
-        assert_eq!(s.count, 0);
-        assert_eq!(s.frac_discrete, 1.0);
-    }
-
-    #[test]
-    fn model_mask_stats_shrink_as_beta_grows() {
-        let mut fac = csq_factory(8);
-        let mut m = resnet_cifar(ModelConfig::cifar_like(4, None, 0), &mut fac, 1);
-        m.visit_weight_sources(&mut |src| src.set_beta(1.0));
-        let soft = mask_gate_stats(&mut m, 1.0);
-        m.visit_weight_sources(&mut |src| src.set_beta(500.0));
-        let hard = mask_gate_stats(&mut m, 500.0);
-        assert!(soft.count > 0);
-        assert!(
-            hard.mean_softness < soft.mean_softness,
-            "{soft:?} vs {hard:?}"
-        );
-    }
-
-    #[test]
-    fn finalized_model_is_fully_discrete() {
-        let mut fac = csq_factory(8);
-        let mut m = resnet_cifar(ModelConfig::cifar_like(4, None, 0), &mut fac, 1);
-        m.visit_weight_sources(&mut |src| src.finalize());
-        let s = mask_gate_stats(&mut m, 200.0);
-        assert!(s.frac_discrete > 0.99, "{s:?}");
-    }
 
     #[test]
     fn model_summary_names_layers_and_roles() {

@@ -710,7 +710,7 @@ mod tests {
         for &v in m.iter() {
             let k = v / step;
             assert!(
-                (k - k.round()).abs() < 1e-3,
+                (k - k.round()).abs() < 1e-4,
                 "{v} is not an integer multiple of {step}"
             );
         }

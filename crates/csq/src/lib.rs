@@ -61,9 +61,7 @@ pub mod scheme;
 pub mod telemetry;
 pub mod trainer;
 
-pub use analysis::{
-    logit_gate_stats, mask_gate_stats, model_summary, GateStats, LayerSummary, ModelSummary,
-};
+pub use analysis::{model_summary, LayerSummary, ModelSummary};
 pub use bitrep::{
     csq_factory, csq_factory_per_channel, csq_uniform_factory, BitQuantizer, QuantMode,
     ScaleGranularity,
@@ -72,9 +70,7 @@ pub use budget::{model_precision, BudgetRegularizer, PrecisionStats};
 pub use fault::{ChaosPlan, FaultPlan};
 pub use gate::{temp_sigmoid, temp_sigmoid_grad, TemperatureSchedule};
 pub use pack::{PackedModel, PackedWeight};
-pub use qinfer::{
-    conv2d_integer, linear_integer, IntegerWeight, QinferError, QuantizedActivations,
-};
+pub use qinfer::{IntegerOp, IntegerWeight, QinferError};
 pub use resume::{SnapshotError, TrainPhase, TrainSnapshot};
 pub use scheme::{LayerScheme, QuantScheme};
 pub use telemetry::{set_telemetry, telemetry_enabled};
@@ -90,7 +86,7 @@ pub mod prelude {
     pub use crate::budget::{model_precision, BudgetRegularizer, PrecisionStats};
     pub use crate::fault::FaultPlan;
     pub use crate::gate::{temp_sigmoid, TemperatureSchedule};
-    pub use crate::qinfer::{QinferError, QuantizedActivations};
+    pub use crate::qinfer::QinferError;
     pub use crate::resume::{TrainPhase, TrainSnapshot};
     pub use crate::scheme::{LayerScheme, QuantScheme};
     pub use crate::trainer::{

@@ -90,7 +90,8 @@ impl FromJson for PackedWeight {
 }
 
 impl PackedWeight {
-    /// Reconstructs the float weight tensor exactly.
+    /// The weight's grid values `code·step`, within about an ulp of the
+    /// trained weight (which `materialize` computes as `bs·s/levels`).
     pub fn unpack(&self) -> csq_tensor::Tensor {
         csq_tensor::Tensor::from_vec(
             self.codes.iter().map(|&c| c as f32 * self.step).collect(),

@@ -33,26 +33,31 @@
 //! ([`csq_tensor::par`]), so results are bit-identical at any thread
 //! count and a sample's outputs never depend on its batch.
 //!
+//! # Compiled once
+//!
+//! [`IntegerOp::conv`] and [`IntegerOp::linear`] compile a packed weight,
+//! the per-sample dims of the op's input and its *calibrated* activation
+//! step into one op, at artifact compile time. They are the one place the
+//! kernel's operands are checked, with a typed [`QinferError`]. A conv op
+//! also fixes its plane layout and the kernel's reads there, as cubek's
+//! `Im2colLayout` fixes its convolution parameters when it is built. So
+//! [`IntegerOp::forward`] only emits codes, copies planes and runs the
+//! kernel, and cannot fail. One fixed step for every request is what
+//! makes batched inference bit-identical to single-request inference.
+//!
 //! # Two bodies, one result
 //!
 //! The kernel, the plane copy and the two rounding passes (code emission
-//! in [`QuantizedActivations::quantize_with_step_into`] and
-//! [`uniform_act_quant`]) each have a portable body and an AVX2 body,
-//! chosen together by one `is_x86_feature_detected!("avx2")` check; the
-//! build still targets baseline x86-64. The AVX2 kernel's `vpmaddwd`
-//! sums are exact in any order and `vcvtdq2ps` converts an `i32` as
-//! `as f32` does; its plane copy transposes 8 × 8 blocks of the same
-//! codes. The AVX2 rounding bodies are the portable Rust expressions
-//! compiled again with AVX2 enabled: the same IEEE operations on the
-//! same inputs (Rust neither fuses a multiply-add nor reassociates). So
-//! every body gives the same bits.
-//!
-//! Codes are emitted with a *calibrated* step
-//! ([`QuantizedActivations::quantize_with_step`]), so a serving engine
-//! uses one fixed grid for every request — which is what makes batched
-//! inference bit-identical to single-request inference. All entry points
-//! return [`QinferError`] instead of panicking (lib crates are
-//! panic-free on user-reachable paths).
+//! in [`IntegerOp::forward`] and [`uniform_act_quant`]) each have a
+//! portable body and an AVX2 body, chosen together by one
+//! `is_x86_feature_detected!("avx2")` check; the build still targets
+//! baseline x86-64. The AVX2 kernel's `vpmaddwd` sums are exact in any
+//! order and `vcvtdq2ps` converts an `i32` as `as f32` does; its plane
+//! copy transposes 8 × 8 blocks of the same codes. The AVX2 rounding
+//! bodies are the portable Rust expressions compiled again with AVX2
+//! enabled: the same IEEE operations on the same inputs (Rust neither
+//! fuses a multiply-add nor reassociates). So every body gives the same
+//! bits.
 
 use crate::pack::PackedWeight;
 use csq_nn::activation::quantize_activation;
@@ -61,11 +66,9 @@ use csq_tensor::par::{self, ScratchPool};
 use csq_tensor::Tensor;
 use std::sync::OnceLock;
 
-/// Why an integer-inference kernel rejected its inputs.
+/// Why a weight or an op could not be compiled for the integer kernel.
 #[derive(Debug, Clone, PartialEq)]
 pub enum QinferError {
-    /// Tried to quantize a tensor with no elements.
-    EmptyActivations,
     /// A calibrated quantization step must be positive and finite.
     BadStep {
         /// The offending step value.
@@ -89,10 +92,10 @@ pub enum QinferError {
         /// The weight-side extent.
         weight: usize,
     },
-    /// A code buffer's length disagrees with its dims (corrupt artifact
-    /// or hand-built operand).
+    /// A weight's code count disagrees with its dims, or their product
+    /// overflows (corrupt artifact or hand-built operand).
     CodeCountMismatch {
-        /// Which operand (`"activations"` / `"weights"`).
+        /// Which operand (`"weights"`).
         what: &'static str,
         /// Elements implied by the dims.
         expected: usize,
@@ -116,22 +119,11 @@ pub enum QinferError {
         /// The kernel extent.
         kernel: usize,
     },
-    /// An activation quantizer's range and level count must both be
-    /// positive and finite.
-    BadActQuant {
-        /// The clip range.
-        range: f32,
-        /// The level count.
-        levels: f32,
-    },
 }
 
 impl std::fmt::Display for QinferError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            QinferError::EmptyActivations => {
-                write!(f, "cannot quantize an empty activation tensor")
-            }
             QinferError::BadStep { step } => {
                 write!(f, "activation step must be positive and finite, got {step}")
             }
@@ -164,90 +156,28 @@ impl std::fmt::Display for QinferError {
                 f,
                 "padded input extent {padded} is smaller than the {kernel}x{kernel} kernel"
             ),
-            QinferError::BadActQuant { range, levels } => write!(
-                f,
-                "activation quantizer range {range} and levels {levels} must be positive and finite"
-            ),
         }
     }
 }
 
 impl std::error::Error for QinferError {}
 
-/// An activation tensor quantized to signed codes on a symmetric grid.
-#[derive(Debug, Clone, PartialEq)]
-pub struct QuantizedActivations {
-    /// Codes in `-255..=255`, row-major, same logical shape as the source.
-    pub codes: Vec<i16>,
-    /// Dequantization step: `float = code · step`.
-    pub step: f32,
-    /// Logical tensor shape.
-    pub dims: Vec<usize>,
-}
-
-impl QuantizedActivations {
-    /// Quantizes with an externally *calibrated* step: codes are
-    /// `round(clamp(v, −255·step, 255·step)/step)`, so the representable
-    /// range is `[−255·step, 255·step]` regardless of this particular
-    /// tensor's values. Using one fixed step for every request is what
-    /// makes a serving engine's batched results bit-identical to
-    /// single-request results.
-    ///
-    /// Returns [`QinferError::EmptyActivations`] for an empty tensor and
-    /// [`QinferError::BadStep`] for a non-positive or non-finite step.
-    pub fn quantize_with_step(x: &Tensor, step: f32) -> Result<QuantizedActivations, QinferError> {
-        Self::quantize_with_step_into(x, step, Vec::new())
-    }
-
-    /// [`quantize_with_step`](Self::quantize_with_step) writing into a
-    /// caller-supplied buffer (resized to fit), so a serving worker can
-    /// recycle code buffers through a
-    /// [`csq_tensor::par::ScratchPool<i16>`] instead of allocating per
-    /// request.
-    pub fn quantize_with_step_into(
-        x: &Tensor,
-        step: f32,
-        mut buf: Vec<i16>,
-    ) -> Result<QuantizedActivations, QinferError> {
-        if x.numel() == 0 {
-            return Err(QinferError::EmptyActivations);
-        }
-        if !(step.is_finite() && step > 0.0) {
-            return Err(QinferError::BadStep { step });
-        }
-        // Every code is written below, so stale contents need no clearing.
-        buf.resize(x.numel(), 0);
-        (bodies().emit_codes)(x.data(), step, &mut buf);
-        Ok(QuantizedActivations {
-            codes: buf,
-            step,
-            dims: x.dims().to_vec(),
-        })
-    }
-
-    /// Reconstructs the float tensor this quantization represents.
-    pub fn dequantize(&self) -> Tensor {
-        Tensor::from_vec(
-            self.codes.iter().map(|&c| c as f32 * self.step).collect(),
-            &self.dims,
-        )
-    }
-}
-
 /// The serving plan's `UniformActQuant` op, in place: every `v` becomes
 /// `round(clamp(v, 0, range)/step)·step` with `step = range/levels`, the
 /// eval forward of the training layers' activation quantizer, bit for
 /// bit.
 ///
-/// Returns [`QinferError::BadActQuant`] unless `range` and `levels` are
-/// both positive and finite.
-pub fn uniform_act_quant(x: &mut Tensor, range: f32, levels: f32) -> Result<(), QinferError> {
+/// # Panics
+///
+/// Unless `range` and `levels` are both positive and finite: compiling a
+/// plan refuses any other.
+pub fn uniform_act_quant(x: &mut Tensor, range: f32, levels: f32) {
     let ok = |v: f32| v.is_finite() && v > 0.0;
-    if !(ok(range) && ok(levels)) {
-        return Err(QinferError::BadActQuant { range, levels });
-    }
+    assert!(
+        ok(range) && ok(levels),
+        "act-quant range {range} and levels {levels} must be positive and finite"
+    );
     (bodies().act_quant)(x.data_mut(), range, range / levels);
-    Ok(())
 }
 
 /// Code emission: `codes[i] = round(clamp(x[i], −255·step, 255·step)/
@@ -358,11 +288,19 @@ impl IntegerWeight {
     ///
     /// # Errors
     ///
-    /// [`QinferError::BadRank`] for a weight with no reduction axis,
     /// [`QinferError::CodeCountMismatch`] when the code count disagrees
-    /// with the dims (corrupt artifact), and
+    /// with the dims or their product overflows (corrupt artifact),
+    /// [`QinferError::BadRank`] for a weight with no reduction axis, and
     /// [`QinferError::CodeOutOfRange`] for a code beyond ±[`MAX_CODE`].
     pub fn from_packed(w: &PackedWeight) -> Result<IntegerWeight, QinferError> {
+        let expected = w.dims.iter().try_fold(1usize, |n, &d| n.checked_mul(d));
+        if expected != Some(w.codes.len()) {
+            return Err(QinferError::CodeCountMismatch {
+                what: "weights",
+                expected: expected.unwrap_or(usize::MAX),
+                actual: w.codes.len(),
+            });
+        }
         if w.dims.len() < 2 {
             return Err(QinferError::BadRank {
                 what: "weights",
@@ -372,7 +310,6 @@ impl IntegerWeight {
         }
         let rows = w.dims[0];
         let k: usize = w.dims[1..].iter().product();
-        check_len("weights", rows * k, w.codes.len())?;
         let (taps, pairs) = (w.dims[2..].iter().product::<usize>(), w.dims[1].div_ceil(2));
         let mut panels = vec![0i16; rows.div_ceil(LANES) * taps * pairs * 2 * LANES];
         let mut max_abs = 0u32;
@@ -421,15 +358,138 @@ impl IntegerWeight {
     }
 }
 
-fn check_len(what: &'static str, expected: usize, actual: usize) -> Result<(), QinferError> {
-    if expected == actual {
-        Ok(())
-    } else {
-        Err(QinferError::CodeCountMismatch {
-            what,
-            expected,
-            actual,
+/// A conv or linear op compiled for the integer kernel: its packed
+/// weight, the per-sample dims of its input, its calibrated activation
+/// step, and for a conv the plane layout and the kernel's reads there.
+/// Built once, when a plan is compiled; immutable afterwards.
+#[derive(Debug)]
+pub struct IntegerOp {
+    weight: IntegerWeight,
+    /// One sample's input dims: `[C, H, W]` for a conv, `[IN]` for a
+    /// linear op.
+    input: Vec<usize>,
+    /// Activation step: codes are `round(clamp(v, ±255·step)/step)`.
+    step: f32,
+    /// A unit sum's value, `weight.step · step`.
+    scale: f32,
+    /// A conv's output dims `[OC, OH, OW]`, plane and reads; `None` for a
+    /// linear op, whose reads depend on the batch.
+    conv: Option<([usize; 3], Plane, Reads)>,
+}
+
+impl IntegerOp {
+    /// Compiles a conv over one sample's `input` dims `[C, H, W]`: the
+    /// weight packs `[OC, C/G, K, K]`, whose dims give the group count `G`
+    /// (`G = C` for a depthwise conv).
+    ///
+    /// # Errors
+    ///
+    /// [`QinferError::BadRank`] unless `input` has rank 3 and the weight
+    /// rank 4, [`QinferError::ShapeMismatch`] when the weight fits no
+    /// grouping of the `C` channels or its kernel is not `spec`'s,
+    /// [`QinferError::InputSmallerThanKernel`] when the padded input is
+    /// smaller than the kernel, and [`QinferError::BadStep`] unless `step`
+    /// is positive and finite.
+    pub fn conv(
+        weight: IntegerWeight,
+        input: &[usize],
+        spec: ConvSpec,
+        step: f32,
+    ) -> Result<IntegerOp, QinferError> {
+        let plan = conv_plan(input, &weight, spec)?;
+        IntegerOp::new(weight, input, step, Some(plan))
+    }
+
+    /// Compiles a linear op of a weight `[OUT, IN]` over `[IN]` features.
+    ///
+    /// # Errors
+    ///
+    /// [`QinferError::BadRank`] unless the weight has rank 2, and
+    /// [`QinferError::BadStep`] unless `step` is positive and finite.
+    pub fn linear(weight: IntegerWeight, step: f32) -> Result<IntegerOp, QinferError> {
+        check_rank("weights", &weight.dims, 2)?;
+        let input = [weight.k];
+        IntegerOp::new(weight, &input, step, None)
+    }
+
+    fn new(
+        weight: IntegerWeight,
+        input: &[usize],
+        step: f32,
+        conv: Option<([usize; 3], Plane, Reads)>,
+    ) -> Result<IntegerOp, QinferError> {
+        if !(step.is_finite() && step > 0.0) {
+            return Err(QinferError::BadStep { step });
+        }
+        Ok(IntegerOp {
+            scale: weight.step * step,
+            weight,
+            input: input.to_vec(),
+            step,
+            conv,
         })
+    }
+
+    /// Runs the op on a batch `x` of `[N, ..input]` floats: emits their
+    /// codes on the op's grid, copies each sample's codes into its plane
+    /// and runs the kernel. Returns `[N, OC, OH, OW]` for a conv and
+    /// `[N, OUT]` for a linear op. `scratch` recycles the code buffer and
+    /// the planes.
+    ///
+    /// # Panics
+    ///
+    /// If `x` is not a batch of the compiled input dims. A serving
+    /// forward checks its batch against the model's input and compiles
+    /// each op on the dims that reach it, so it cannot pass one.
+    pub fn forward(&self, x: &Tensor, scratch: &ScratchPool<i16>) -> Tensor {
+        let dims = x.dims();
+        assert!(
+            dims.len() == self.input.len() + 1 && dims[1..] == self.input[..],
+            "IntegerOp::forward: a {dims:?} batch is not [N, {:?}]",
+            self.input
+        );
+        let (b, n, w) = (bodies(), dims[0], &self.weight);
+        let mut codes = scratch.take(x.numel());
+        (b.emit_codes)(x.data(), self.step, &mut codes);
+        let y = match &self.conv {
+            Some(([oc, oh, ow], plane, reads)) => {
+                let planes = planes(b, &codes, n, plane, scratch);
+                let y = kernel(b, &planes, n, reads, w, self.scale);
+                scratch.give(planes);
+                Tensor::from_vec(y, &[n, *oc, *oh, *ow])
+            }
+            // The one-tap case: each batch row one pixel of `IN` codes
+            // (padded to even), the rows one sample's positions; the
+            // `[OUT, N]` result is transposed.
+            None => {
+                let pix = 2 * w.pairs;
+                let mut plane = vec![0i16; n * pix];
+                for (row, codes) in plane
+                    .chunks_exact_mut(pix.max(1))
+                    .zip(codes.chunks_exact(w.k.max(1)))
+                {
+                    row[..w.k].copy_from_slice(codes);
+                }
+                let reads = Reads {
+                    pos: (0..n).map(|q| q * pix).collect(),
+                    steps: (0..pix).step_by(2).collect(),
+                    ocg: w.rows,
+                    cgp: 0,
+                };
+                let yt = kernel(b, &plane, 1, &reads, w, self.scale);
+                let y = (0..yt.len())
+                    .map(|i| yt[i % w.rows * n + i / w.rows])
+                    .collect();
+                Tensor::from_vec(y, &[n, w.rows])
+            }
+        };
+        scratch.give(codes);
+        y
+    }
+
+    /// Bytes held by the packed weight codes (diagnostics).
+    pub fn code_bytes(&self) -> usize {
+        self.weight.code_bytes()
     }
 }
 
@@ -445,50 +505,12 @@ fn check_rank(what: &'static str, dims: &[usize], expected: usize) -> Result<(),
     }
 }
 
-/// Validates a conv's operands and returns its output dims
-/// `[N, OC, OH, OW]` and its group count `G = C / wdims[1]`. `x` must be
-/// `[N, C, H, W]` codes and `wdims` `[OC, C/G, K, K]`, with `G` dividing
-/// `OC` and the padded input at least `K` wide and high.
-fn conv_out_dims(
-    x: &QuantizedActivations,
-    wdims: &[usize],
-    spec: ConvSpec,
-) -> Result<([usize; 4], usize), QinferError> {
-    check_rank("activations", &x.dims, 4)?;
-    check_rank("weights", wdims, 4)?;
-    check_len("activations", x.dims.iter().product(), x.codes.len())?;
-    let (n, c, h, wd) = (x.dims[0], x.dims[1], x.dims[2], x.dims[3]);
-    let (oc, wc, kh, kw) = (wdims[0], wdims[1], wdims[2], wdims[3]);
-    let groups = c.checked_div(wc).filter(|&g| g * wc == c).unwrap_or(0);
-    if groups == 0 || !oc.is_multiple_of(groups) {
-        return Err(QinferError::ShapeMismatch {
-            what: "channels",
-            activation: c,
-            weight: wc,
-        });
-    }
-    if kh != spec.kernel || kw != spec.kernel {
-        return Err(QinferError::ShapeMismatch {
-            what: "kernel",
-            activation: spec.kernel,
-            weight: kh.max(kw),
-        });
-    }
-    let padded = h.min(wd) + 2 * spec.padding;
-    if padded < spec.kernel {
-        return Err(QinferError::InputSmallerThanKernel {
-            padded,
-            kernel: spec.kernel,
-        });
-    }
-    Ok(([n, oc, spec.out_size(h), spec.out_size(wd)], groups))
-}
-
 /// Where one sample's `[C, H, W]` codes (`hw = H·W` a channel) sit in its
 /// `i16` plane of `pw` pixels a row, `pix` codes a pixel: channel `c` at
 /// `c / cg · cgp + c mod cg` (`cgp` even, so a pair is one `i32`), and
 /// interior pixel `(iy, ix)` of `ih × iw`, from source pixel `(iy·sub,
 /// ix·sub)`, at `(iy + border, ix + border)`; every other code is 0.
+#[derive(Debug)]
 struct Plane {
     c: usize,
     cg: usize,
@@ -532,6 +554,7 @@ fn fill_plane(src: &[i16], dst: &mut [i16], p: &Plane) {
 
 /// How the kernel reads a plane: the offset of each output position and
 /// each step `(tap, pair)`; output row `o`'s group at `o / ocg · cgp`.
+#[derive(Debug)]
 struct Reads {
     pos: Vec<usize>,
     steps: Vec<usize>,
@@ -539,16 +562,44 @@ struct Reads {
     cgp: usize,
 }
 
-/// Validates a conv ([`conv_out_dims`]) and lays out its planes. A 1×1
-/// conv without padding reads only every `stride`-th pixel, so its plane
-/// holds just those and it runs at stride 1 on it.
+/// Validates a conv and lays out its planes: `input` must be one
+/// sample's `[C, H, W]` and the weight `[OC, C/G, K, K]`, with `G`
+/// dividing `OC` and the padded input at least `K` wide and high. Returns
+/// one sample's output dims `[OC, OH, OW]`, its plane and the kernel's
+/// reads. A 1×1 conv without padding reads only every `stride`-th pixel,
+/// so its plane holds just those and it runs at stride 1 on it.
 fn conv_plan(
-    x: &QuantizedActivations,
+    input: &[usize],
     wt: &IntegerWeight,
     spec: ConvSpec,
-) -> Result<([usize; 4], Plane, Reads), QinferError> {
-    let (dims @ [_, oc, oh, ow], groups) = conv_out_dims(x, &wt.dims, spec)?;
-    let (c, h, w) = (x.dims[1], x.dims[2], x.dims[3]);
+) -> Result<([usize; 3], Plane, Reads), QinferError> {
+    check_rank("activations", input, 3)?;
+    check_rank("weights", &wt.dims, 4)?;
+    let (c, h, w) = (input[0], input[1], input[2]);
+    let (oc, wc, kh, kw) = (wt.dims[0], wt.dims[1], wt.dims[2], wt.dims[3]);
+    let groups = c.checked_div(wc).filter(|&g| g * wc == c).unwrap_or(0);
+    if groups == 0 || !oc.is_multiple_of(groups) {
+        return Err(QinferError::ShapeMismatch {
+            what: "channels",
+            activation: c,
+            weight: wc,
+        });
+    }
+    if kh != spec.kernel || kw != spec.kernel {
+        return Err(QinferError::ShapeMismatch {
+            what: "kernel",
+            activation: spec.kernel,
+            weight: kh.max(kw),
+        });
+    }
+    let padded = h.min(w) + 2 * spec.padding;
+    if padded < spec.kernel {
+        return Err(QinferError::InputSmallerThanKernel {
+            padded,
+            kernel: spec.kernel,
+        });
+    }
+    let (oh, ow) = (spec.out_size(h), spec.out_size(w));
     let (k, stride, (ih, iw, sub, border)) = if spec.kernel == 1 && spec.padding == 0 {
         (1, 1, (oh, ow, spec.stride, 0))
     } else {
@@ -578,15 +629,15 @@ fn conv_plan(
         ocg,
         cgp,
     };
-    Ok((dims, plane, reads))
+    Ok(([oc, oh, ow], plane, reads))
 }
 
-/// Copies every sample's codes into its zeroed plane, planes back to back
-/// in a buffer from `pool`.
-fn planes(b: &Bodies, x: &QuantizedActivations, p: &Plane, pool: &ScratchPool<i16>) -> Vec<i16> {
-    let mut planes = pool.take_zeroed(x.dims[0] * p.len());
-    par::par_chunks_mut(&mut planes, p.len(), |n, _, dst| {
-        (b.plane)(&x.codes[n * p.c * p.hw..][..p.c * p.hw], dst, p);
+/// Copies each of the `n` samples' codes into its zeroed plane, planes
+/// back to back in a buffer from `pool`.
+fn planes(b: &Bodies, codes: &[i16], n: usize, p: &Plane, pool: &ScratchPool<i16>) -> Vec<i16> {
+    let mut planes = pool.take_zeroed(n * p.len());
+    par::par_chunks_mut(&mut planes, p.len(), |s, _, dst| {
+        (b.plane)(&codes[s * p.c * p.hw..][..p.c * p.hw], dst, p);
     });
     planes
 }
@@ -877,65 +928,6 @@ mod avx2 {
     }
 }
 
-/// Integer 2-D convolution: signed activation codes × packed integer
-/// weights on the integer kernel, one float scale per output.
-///
-/// `x` is `[N, IC, H, W]` quantized activations; `w` packs a conv weight
-/// `[OC, IC/G, KH, KW]`, whose dims give the group count `G` (`G = IC`
-/// for a depthwise conv). Each sample is copied once into a
-/// zero-bordered channels-last plane, which the kernel reads at every
-/// tap. Returns float `[N, OC, OH, OW]`. `scratch` recycles the planes.
-pub fn conv2d_integer(
-    x: &QuantizedActivations,
-    w: &IntegerWeight,
-    spec: ConvSpec,
-    scratch: &ScratchPool<i16>,
-) -> Result<Tensor, QinferError> {
-    let (dims, plane, reads) = conv_plan(x, w, spec)?;
-    let planes = planes(bodies(), x, &plane, scratch);
-    let y = kernel(bodies(), &planes, dims[0], &reads, w, w.step * x.step);
-    scratch.give(planes);
-    Ok(Tensor::from_vec(y, &dims))
-}
-
-/// Integer fully-connected layer: `y = codes(x) · codes(W)ᵀ · scale`, the
-/// integer kernel's one-tap case with each batch row one pixel of `IN`
-/// codes (padded to even) and the rows one sample's positions; its
-/// `[OUT, B]` result is transposed.
-///
-/// `x` is `[B, IN]` quantized activations; `w` packs a linear weight
-/// `[OUT, IN]`. Returns float `[B, OUT]`.
-pub fn linear_integer(x: &QuantizedActivations, w: &IntegerWeight) -> Result<Tensor, QinferError> {
-    check_rank("activations", &x.dims, 2)?;
-    check_rank("weights", &w.dims, 2)?;
-    check_len("activations", x.dims[0] * x.dims[1], x.codes.len())?;
-    let (b, inf, pix) = (x.dims[0], x.dims[1], 2 * w.pairs);
-    if inf != w.k {
-        return Err(QinferError::ShapeMismatch {
-            what: "features",
-            activation: inf,
-            weight: w.k,
-        });
-    }
-    let mut plane = vec![0i16; b * pix];
-    for (row, codes) in plane
-        .chunks_exact_mut(pix.max(1))
-        .zip(x.codes.chunks_exact(inf.max(1)))
-    {
-        row[..inf].copy_from_slice(codes);
-    }
-    let reads = Reads {
-        pos: (0..b).map(|q| q * pix).collect(),
-        steps: (0..pix).step_by(2).collect(),
-        ocg: w.rows,
-        cgp: 0,
-    };
-    let yt = kernel(bodies(), &plane, 1, &reads, w, w.step * x.step);
-    let rows = w.rows;
-    let y = (0..yt.len()).map(|i| yt[i % rows * b + i / rows]).collect();
-    Ok(Tensor::from_vec(y, &[b, rows]))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -951,9 +943,28 @@ mod tests {
         IntegerWeight::from_packed(pw).unwrap()
     }
 
-    /// Codes on the grid that just holds `x`'s largest magnitude.
-    fn quantize(x: &Tensor) -> QuantizedActivations {
-        QuantizedActivations::quantize_with_step(x, x.max_abs() / 255.0).unwrap()
+    /// The codes this host's emission gives `x` on the grid of `step`.
+    fn emit(x: &[f32], step: f32) -> Vec<i16> {
+        let mut codes = vec![0; x.len()];
+        (bodies().emit_codes)(x, step, &mut codes);
+        codes
+    }
+
+    /// `x` on the grid of `step`: each value's code times `step`, the
+    /// activations the integer kernel multiplies.
+    fn on_grid(x: &Tensor, step: f32) -> Tensor {
+        let codes = emit(x.data(), step);
+        Tensor::from_vec(codes.iter().map(|&c| c as f32 * step).collect(), x.dims())
+    }
+
+    /// The step of the grid that just holds `x`'s largest magnitude.
+    fn step_of(x: &Tensor) -> f32 {
+        x.max_abs() / 255.0
+    }
+
+    /// A conv compiled over the per-sample dims of the batch `x`.
+    fn conv_op(x: &Tensor, pw: &PackedWeight, spec: ConvSpec, step: f32) -> IntegerOp {
+        IntegerOp::conv(int(pw), &x.dims()[1..], spec, step).unwrap()
     }
 
     fn packed_weight(dims: &[usize], seed: u64) -> (PackedWeight, Tensor) {
@@ -962,8 +973,6 @@ mod tests {
         let mut q = BitQuantizer::from_float(&w0, 8, QuantMode::Csq);
         q.finalize();
         let w = q.materialize();
-        let (inf, outf) = (dims.iter().product::<usize>(), 1usize);
-        let _ = (inf, outf);
         let mut layer = Linear::new(
             Box::new(q),
             dims[1..].iter().product::<usize>().max(1),
@@ -978,57 +987,66 @@ mod tests {
     fn activation_quantization_round_trip_error_bounded() {
         let mut rng = ChaCha8Rng::seed_from_u64(0);
         let x = init::uniform(&[64], -3.0, 3.0, &mut rng);
-        let q = quantize(&x);
-        let back = q.dequantize();
-        let bound = q.step * 0.5 + 1e-6;
+        let step = step_of(&x);
+        let back = on_grid(&x, step);
+        let bound = step * 0.5 + 1e-6;
         for (&a, &b) in x.iter().zip(back.iter()) {
             assert!((a - b).abs() <= bound, "{a} vs {b}");
         }
     }
 
     #[test]
-    fn quantize_with_step_uses_the_injected_grid() {
-        let x = Tensor::from_vec(vec![0.0, 0.5, 1.0, 7.0, -0.5, -7.0], &[6]);
-        let q = QuantizedActivations::quantize_with_step(&x, 0.01).unwrap();
-        assert_eq!(q.step, 0.01);
+    fn code_emission_uses_the_injected_grid() {
+        let codes = emit(&[0.0, 0.5, 1.0, 7.0, -0.5, -7.0], 0.01);
         assert_eq!(
-            q.codes,
+            codes,
             vec![0, 50, 100, 255, -50, -255],
             "±7.0 clamps to ±255·step"
         );
         // The grid does not depend on this tensor's own range: a second
         // tensor with a different maximum shares it.
-        let y = Tensor::from_vec(vec![0.5], &[1]);
-        let qy = QuantizedActivations::quantize_with_step(&y, 0.01).unwrap();
-        assert_eq!(qy.codes[0], q.codes[1]);
+        assert_eq!(emit(&[0.5], 0.01)[0], codes[1]);
     }
 
+    /// Where format 1 served an op on the integer kernel, format 2 reads
+    /// the same codes for the same input: for every input ≥ 0, −0.0 and
+    /// NaN the signed grid's code equals format 1's unsigned code (its
+    /// expression is kept here). The serving calibration's tests pin the
+    /// step.
     #[test]
-    fn quantize_rejects_bad_inputs() {
-        let empty = Tensor::zeros(&[0]);
-        assert_eq!(
-            QuantizedActivations::quantize_with_step(&empty, 0.01),
-            Err(QinferError::EmptyActivations)
-        );
-        let x = Tensor::from_vec(vec![1.0], &[1]);
-        assert!(matches!(
-            QuantizedActivations::quantize_with_step(&x, 0.0),
-            Err(QinferError::BadStep { .. })
-        ));
-        assert!(matches!(
-            QuantizedActivations::quantize_with_step(&x, f32::NAN),
-            Err(QinferError::BadStep { .. })
-        ));
-    }
-
-    #[test]
-    fn quantize_with_step_into_recycles_the_buffer() {
-        let x = Tensor::from_vec(vec![0.1, 0.2, 0.3], &[3]);
-        let mut buf = Vec::with_capacity(64);
-        buf.push(9i16); // stale contents must be cleared
-        let q = QuantizedActivations::quantize_with_step_into(&x, 0.01, buf).unwrap();
-        assert_eq!(q.codes.len(), 3);
-        assert_eq!(q.codes, vec![10, 20, 30]);
+    fn non_negative_inputs_keep_the_unsigned_grids_codes() {
+        let unsigned_code = |v: f32, step: f32| {
+            let hi = 255.0 * step;
+            ((v.clamp(0.0, hi) / step).round().min(255.0) + 8_388_608.0).to_bits() as u8
+        };
+        for step in [1e-8, 0.0123, 5.395 / 15.0, 1.0, 3.0e4] {
+            let mut xs = vec![
+                0.0,
+                -0.0,
+                f32::NAN,
+                f32::INFINITY,
+                f32::MAX,
+                f32::from_bits(1),
+                f32::MIN_POSITIVE,
+                0.499_999_97 * step,
+            ];
+            for n in 0..=300 {
+                let (v, half) = (n as f32 * step, (n as f32 + 0.5) * step);
+                xs.extend([
+                    v.next_down(),
+                    v,
+                    v.next_up(),
+                    half.next_down(),
+                    half,
+                    half.next_up(),
+                ]);
+            }
+            xs.retain(|v| v.is_nan() || *v >= 0.0);
+            for (&v, &code) in xs.iter().zip(&emit(&xs, step)) {
+                let want = i16::from(unsigned_code(v, step));
+                assert_eq!(code, want, "v = {v:e}, step = {step:e}");
+            }
+        }
     }
 
     #[test]
@@ -1037,13 +1055,12 @@ mod tests {
         // Signed activations, as the stem reads.
         let x = init::uniform(&[1, 2, 6, 6], -1.0, 1.0, &mut rng);
         let (pw, w) = packed_weight(&[3, 2, 3, 3], 2);
-        let spec = ConvSpec::new(3, 1, 1);
+        let (spec, step) = (ConvSpec::new(3, 1, 1), step_of(&x));
 
-        let xq = quantize(&x);
-        let y_int = conv2d_integer(&xq, &int(&pw), spec, &ScratchPool::new()).unwrap();
-        // Reference: float conv on the dequantized activations is
+        let y_int = conv_op(&x, &pw, spec, step).forward(&x, &ScratchPool::new());
+        // Reference: float conv on the activations' grid values is
         // *exactly* what the integer path computes.
-        let y_ref = conv2d(&xq.dequantize(), &w, spec);
+        let y_ref = conv2d(&on_grid(&x, step), &w, spec);
         assert!(
             y_int.approx_eq(&y_ref, 1e-3),
             "integer path must match float path on the same grid"
@@ -1057,7 +1074,7 @@ mod tests {
             .map(|(a, b)| (a - b).abs())
             .fold(0.0f32, f32::max);
         // Worst case: sum over kernel of |w|·(step/2).
-        let bound = 2.0 * 9.0 * w.max_abs() * xq.step * 0.5 + 1e-4;
+        let bound = 2.0 * 9.0 * w.max_abs() * step * 0.5 + 1e-4;
         assert!(max_err <= bound, "err {max_err} > bound {bound}");
     }
 
@@ -1066,10 +1083,9 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(7);
         let x = init::uniform(&[2, 3, 6, 6], 0.0, 1.0, &mut rng);
         let (pw, w) = packed_weight(&[3, 1, 3, 3], 8);
-        let spec = ConvSpec::new(3, 1, 1);
-        let xq = quantize(&x);
-        let y_int = conv2d_integer(&xq, &int(&pw), spec, &ScratchPool::new()).unwrap();
-        let y_ref = conv2d(&xq.dequantize(), &w, spec);
+        let (spec, step) = (ConvSpec::new(3, 1, 1), step_of(&x));
+        let y_int = conv_op(&x, &pw, spec, step).forward(&x, &ScratchPool::new());
+        let y_ref = conv2d(&on_grid(&x, step), &w, spec);
         assert!(y_int.approx_eq(&y_ref, 1e-3));
     }
 
@@ -1078,9 +1094,10 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(3);
         let x = init::uniform(&[4, 8], 0.0, 2.0, &mut rng);
         let (pw, w) = packed_weight(&[5, 8], 4);
-        let xq = quantize(&x);
-        let y_int = linear_integer(&xq, &int(&pw)).unwrap();
-        let y_ref = xq.dequantize().matmul_nt(&w);
+        let step = step_of(&x);
+        let op = IntegerOp::linear(int(&pw), step).unwrap();
+        let y_int = op.forward(&x, &ScratchPool::new());
+        let y_ref = on_grid(&x, step).matmul_nt(&w);
         assert!(y_int.approx_eq(&y_ref, 1e-3));
     }
 
@@ -1089,11 +1106,7 @@ mod tests {
         // 4096 products of max-magnitude codes must not lose precision
         // (i64 accumulation; f32 would).
         let n = 4096usize;
-        let xq = QuantizedActivations {
-            codes: vec![255i16; n],
-            step: 1.0,
-            dims: vec![1, n],
-        };
+        let x = Tensor::from_vec(vec![255.0; n], &[1, n]);
         let pw = PackedWeight {
             path: "weight".to_string(),
             codes: vec![255i32; n],
@@ -1101,71 +1114,93 @@ mod tests {
             dims: vec![1, n],
             bits: 8.0,
         };
-        let y = linear_integer(&xq, &int(&pw)).unwrap();
+        let op = IntegerOp::linear(int(&pw), 1.0).unwrap();
+        let y = op.forward(&x, &ScratchPool::new());
         let expect = 255.0f64 * 255.0 * n as f64;
         assert_eq!(y.data()[0] as f64, expect);
     }
 
+    /// Compiling an op is where its operands are checked, once: ranks,
+    /// channels and grouping, the kernel, the padded extent and the step.
     #[test]
-    fn kernels_report_shape_mismatches_as_errors() {
-        let xq = QuantizedActivations {
-            codes: vec![0; 4],
-            step: 1.0,
-            dims: vec![1, 4],
-        };
-        let pw = PackedWeight {
-            path: "weight".to_string(),
-            codes: vec![0; 6],
-            step: 1.0,
-            dims: vec![2, 3],
-            bits: 8.0,
-        };
-        assert_eq!(
-            linear_integer(&xq, &int(&pw)),
-            Err(QinferError::ShapeMismatch {
-                what: "features",
-                activation: 4,
-                weight: 3,
+    fn compiling_an_op_checks_its_operands() {
+        let weight = |dims: &[usize]| {
+            int(&PackedWeight {
+                path: "weight".to_string(),
+                codes: vec![1; dims.iter().product()],
+                step: 1.0,
+                dims: dims.to_vec(),
+                bits: 8.0,
             })
-        );
-        let bad_rank = conv2d_integer(&xq, &int(&pw), ConvSpec::new(3, 1, 1), &ScratchPool::new());
-        assert!(matches!(bad_rank, Err(QinferError::BadRank { .. })));
-        // A 1×1 input cannot hold a 3×3 kernel without padding.
-        let pixel = QuantizedActivations {
-            codes: vec![7],
-            step: 1.0,
-            dims: vec![1, 1, 1, 1],
         };
-        let pw3 = PackedWeight {
-            path: "weight".to_string(),
-            codes: vec![1; 9],
-            step: 1.0,
-            dims: vec![1, 1, 3, 3],
-            bits: 8.0,
+        let spec = ConvSpec::new(3, 1, 1);
+        let conv = |wdims: &[usize], input: &[usize], spec, step| {
+            IntegerOp::conv(weight(wdims), input, spec, step).map(|_| ())
         };
+        let linear = |wdims: &[usize], step| IntegerOp::linear(weight(wdims), step).map(|_| ());
+        let rank = |what, expected, actual| {
+            Err(QinferError::BadRank {
+                what,
+                expected,
+                actual,
+            })
+        };
+        assert_eq!(conv(&[2, 3], &[3, 4, 4], spec, 1.0), rank("weights", 4, 2));
         assert_eq!(
-            conv2d_integer(
-                &pixel,
-                &int(&pw3),
-                ConvSpec::new(3, 1, 0),
-                &ScratchPool::new()
-            ),
+            conv(&[2, 3, 3, 3], &[3, 4], spec, 1.0),
+            rank("activations", 3, 2)
+        );
+        assert_eq!(linear(&[2, 3, 1, 1], 1.0), rank("weights", 2, 4));
+        let mismatch = |what, activation, weight| {
+            Err(QinferError::ShapeMismatch {
+                what,
+                activation,
+                weight,
+            })
+        };
+        // 2 channels a group do not divide 3; 2 groups do not divide 3
+        // outputs; a 1×1 weight is not a 3×3 kernel.
+        assert_eq!(
+            conv(&[4, 2, 3, 3], &[3, 4, 4], spec, 1.0),
+            mismatch("channels", 3, 2)
+        );
+        assert_eq!(
+            conv(&[3, 2, 3, 3], &[4, 4, 4], spec, 1.0),
+            mismatch("channels", 4, 2)
+        );
+        assert_eq!(
+            conv(&[2, 3, 1, 1], &[3, 4, 4], spec, 1.0),
+            mismatch("kernel", 3, 1)
+        );
+        // A 1×1 input cannot hold a 3×3 kernel without padding.
+        assert_eq!(
+            conv(&[1, 1, 3, 3], &[1, 1, 1], ConvSpec::new(3, 1, 0), 1.0),
             Err(QinferError::InputSmallerThanKernel {
                 padded: 1,
                 kernel: 3,
             })
         );
-        let mut x = Tensor::from_vec(vec![0.5], &[1]);
-        for (range, levels) in [(0.0, 15.0), (-1.0, -15.0), (f32::NAN, 15.0), (1.0, 0.0)] {
-            assert!(
-                matches!(
-                    uniform_act_quant(&mut x, range, levels),
-                    Err(QinferError::BadActQuant { .. })
-                ),
-                "range {range}, levels {levels}"
-            );
+        for step in [0.0, -1.0, f32::NAN, f32::INFINITY] {
+            let bad = |r| matches!(r, Err(QinferError::BadStep { .. }));
+            assert!(bad(conv(&[2, 3, 3, 3], &[3, 4, 4], spec, step)), "{step}");
+            assert!(bad(linear(&[2, 3], step)), "{step}");
         }
-        assert_eq!(x.data(), &[0.5], "a rejected quantizer leaves its input");
+        assert_eq!(conv(&[2, 3, 3, 3], &[3, 4, 4], spec, 1.0), Ok(()));
+        assert_eq!(linear(&[2, 3], 1.0), Ok(()));
+    }
+
+    #[test]
+    #[should_panic(expected = "must be positive and finite")]
+    fn act_quant_asserts_a_positive_finite_range() {
+        uniform_act_quant(&mut Tensor::from_vec(vec![0.5], &[1]), 0.0, 15.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "a [1, 2, 5, 6] batch is not [N, [2, 5, 5]]")]
+    fn forward_refuses_a_batch_of_other_dims() {
+        let (pw, _) = packed_weight(&[4, 2, 3, 3], 12);
+        let op = IntegerOp::conv(int(&pw), &[2, 5, 5], ConvSpec::new(3, 1, 1), 0.004).unwrap();
+        op.forward(&Tensor::zeros(&[1, 2, 5, 6]), &ScratchPool::new());
     }
 
     #[test]
@@ -1181,11 +1216,10 @@ mod tests {
         pw.codes[2 * flt + 9..2 * flt + 18]
             .iter_mut()
             .for_each(|c| *c = 0);
-        let xq = quantize(&x);
-        let spec = ConvSpec::new(3, 1, 1);
-        let y = conv2d_integer(&xq, &int(&pw), spec, &ScratchPool::new()).unwrap();
-        // Float reference on the dequantized codes and weight.
-        let y_ref = csq_tensor::conv::conv2d(&xq.dequantize(), &pw_to_tensor(&pw), spec);
+        let (spec, step, scratch) = (ConvSpec::new(3, 1, 1), step_of(&x), ScratchPool::new());
+        let y = conv_op(&x, &pw, spec, step).forward(&x, &scratch);
+        // Float reference on the grid values of the codes and the weight.
+        let y_ref = conv2d(&on_grid(&x, step), &pw.unpack(), spec);
         assert!(y.approx_eq(&y_ref, 1e-4));
         let per = 5 * 5;
         assert!(
@@ -1197,8 +1231,8 @@ mod tests {
         let (mut lw, _) = packed_weight(&[4, 8], 23);
         lw.codes[8..16].iter_mut().for_each(|c| *c = 0);
         let xl = init::uniform(&[3, 8], 0.0, 1.0, &mut rng);
-        let ql = quantize(&xl);
-        let yl = linear_integer(&ql, &int(&lw)).unwrap();
+        let linear = IntegerOp::linear(int(&lw), step_of(&xl)).unwrap();
+        let yl = linear.forward(&xl, &scratch);
         for bi in 0..3 {
             assert_eq!(yl.data()[bi * 4 + 1], 0.0);
         }
@@ -1207,39 +1241,27 @@ mod tests {
         let (mut dw, _) = packed_weight(&[3, 1, 3, 3], 24);
         dw.codes[..9].iter_mut().for_each(|c| *c = 0);
         let xd = init::uniform(&[1, 3, 5, 5], 0.0, 1.0, &mut rng);
-        let qd = quantize(&xd);
-        let yd = conv2d_integer(&qd, &int(&dw), spec, &ScratchPool::new()).unwrap();
+        let yd = conv_op(&xd, &dw, spec, step_of(&xd)).forward(&xd, &scratch);
         assert!(yd.data()[..per].iter().all(|&v| v == 0.0));
-    }
-
-    /// Reconstructs the float tensor a packed weight's codes represent.
-    fn pw_to_tensor(w: &PackedWeight) -> Tensor {
-        Tensor::from_vec(
-            w.codes.iter().map(|&c| c as f32 * w.step).collect(),
-            &w.dims,
-        )
     }
 
     #[test]
     fn batched_integer_kernels_equal_concatenated_single_samples() {
         // The serving engine's bit-identity guarantee reduces to this:
-        // with one calibrated step, the batch kernel computes each
-        // sample exactly as the single-sample kernel would.
+        // one compiled op, on its one calibrated step, computes each
+        // sample of a batch exactly as it computes that sample alone.
         let mut rng = ChaCha8Rng::seed_from_u64(11);
         let xs: Vec<Tensor> = (0..3)
             .map(|_| init::uniform(&[1, 2, 5, 5], 0.0, 1.0, &mut rng))
             .collect();
         let (pw, _) = packed_weight(&[4, 2, 3, 3], 12);
-        let spec = ConvSpec::new(3, 1, 1);
-        let step = 0.004;
+        let op = IntegerOp::conv(int(&pw), &[2, 5, 5], ConvSpec::new(3, 1, 1), 0.004).unwrap();
 
         let batch = Tensor::concat_axis0(&xs.iter().collect::<Vec<_>>());
-        let qb = QuantizedActivations::quantize_with_step(&batch, step).unwrap();
         let scratch = ScratchPool::new();
-        let yb = conv2d_integer(&qb, &int(&pw), spec, &scratch).unwrap();
+        let yb = op.forward(&batch, &scratch);
         for (i, x) in xs.iter().enumerate() {
-            let q1 = QuantizedActivations::quantize_with_step(x, step).unwrap();
-            let y1 = conv2d_integer(&q1, &int(&pw), spec, &scratch).unwrap();
+            let y1 = op.forward(x, &scratch);
             let per = y1.numel();
             assert_eq!(
                 &yb.data()[i * per..(i + 1) * per],
@@ -1247,12 +1269,20 @@ mod tests {
                 "sample {i} differs between batched and single"
             );
         }
+        assert_eq!(scratch.idle(), 2, "codes and planes go back to the pool");
+    }
+
+    /// Activation codes of dims `[N, C, H, W]` on the grid of `step`.
+    struct Codes {
+        codes: Vec<i16>,
+        step: f32,
+        dims: Vec<usize>,
     }
 
     /// A conv by direct loops: `i64` sums of codes times the scale,
     /// `[N, OC, OH, OW]`; output channel `o` reads the channels of its
     /// group `o / (OC/G)`.
-    fn direct_conv(x: &QuantizedActivations, w: &PackedWeight, spec: ConvSpec) -> Vec<f32> {
+    fn direct_conv(x: &Codes, w: &PackedWeight, spec: ConvSpec) -> Vec<f32> {
         let (n, c, h, wd) = (x.dims[0], x.dims[1], x.dims[2], x.dims[3]);
         let (oc, cg, k) = (w.dims[0], w.dims[1], spec.kernel);
         let (oh, ow, ocg) = (spec.out_size(h), spec.out_size(wd), oc / (c / cg));
@@ -1302,7 +1332,7 @@ mod tests {
         let mut codes = |len: usize, max: i32| -> Vec<i32> {
             (0..len).map(|_| rng.gen_range(-max..=max)).collect()
         };
-        let acts = |dims: &[usize], codes: Vec<i32>| QuantizedActivations {
+        let acts = |dims: &[usize], codes: Vec<i32>| Codes {
             codes: codes.iter().map(|&c| c as i16).collect(),
             step: 0.25,
             dims: dims.to_vec(),
@@ -1310,14 +1340,15 @@ mod tests {
         let scratch = ScratchPool::new();
         // Each body's planes and outputs against the portable planes and
         // direct loops.
-        let conv = |x: &QuantizedActivations, w: &PackedWeight, spec: ConvSpec| {
+        let conv = |x: &Codes, w: &PackedWeight, spec: ConvSpec| {
             let want = direct_conv(x, w, spec);
-            let (dims, p, reads) = conv_plan(x, &int(w), spec).unwrap();
-            let plane = planes(&PORTABLE, x, &p, &scratch);
+            let n = x.dims[0];
+            let (_, p, reads) = conv_plan(&x.dims[1..], &int(w), spec).unwrap();
+            let plane = planes(&PORTABLE, &x.codes, n, &p, &scratch);
             let what = format!("{:?} * {:?}, {spec:?}", x.dims, w.dims);
             for b in &bodies {
-                assert_eq!(planes(b, x, &p, &scratch), plane, "plane, {what}");
-                let got = kernel(b, &plane, dims[0], &reads, &int(w), w.step * x.step);
+                assert_eq!(planes(b, &x.codes, n, &p, &scratch), plane, "plane, {what}");
+                let got = kernel(b, &plane, n, &reads, &int(w), w.step * x.step);
                 assert_eq!(got, want, "{what}");
             }
         };
@@ -1352,8 +1383,9 @@ mod tests {
                 conv(&acts(&[batch, k, 1, 1], codes(batch * k, 255)), &w, one);
             }
         }
-        let empty = linear_integer(&acts(&[2, 0], vec![]), &int(&weight(&[3, 0], vec![])));
-        assert_eq!(empty.unwrap().data(), &[0.0; 6]);
+        let empty = IntegerOp::linear(int(&weight(&[3, 0], vec![])), 0.25).unwrap();
+        let y = empty.forward(&Tensor::zeros(&[2, 0]), &scratch);
+        assert_eq!(y.data(), &[0.0; 6]);
         let chunk = int(&weight(&[1, 1], vec![MAX_CODE])).k_chunk();
         let extremes = [MAX_CODE, -MAX_CODE].map(|c| [(c, 255), (c, -255)]);
         for (code, act) in extremes.into_iter().flatten() {
@@ -1376,7 +1408,7 @@ mod tests {
     /// Times the integer conv's phases per batch-8 call at the served
     /// ResNet-20 shapes on one thread and prints medians over interleaved
     /// calls: code emission, the plane build, and the kernel with its
-    /// store. Run it with
+    /// store. Each conv is laid out once, as a compiled op is. Run it with
     /// `cargo test --release -p csq-core --lib phase_probe -- --ignored --nocapture`.
     #[test]
     #[ignore]
@@ -1393,27 +1425,27 @@ mod tests {
             (16, 32, 8, 1, 2),
         ];
         let mut rng = ChaCha8Rng::seed_from_u64(5);
-        let (pool, calls) = (ScratchPool::new(), 400);
+        let (pool, calls, step) = (ScratchPool::new(), 400, 0.004);
         println!("phase probe: batch 8, 1 thread, median µs of {calls} calls");
         par::with_threads(1, || {
             for (ic, oc, side, k, stride) in shapes {
                 let x = init::uniform(&[8, ic, side, side], 0.0, 1.0, &mut rng);
                 let w = int(&packed_weight(&[oc, ic, k, k], 5).0);
                 let spec = ConvSpec::new(k, stride, k / 2);
+                let (_, plane, reads) = conv_plan(&[ic, side, side], &w, spec).unwrap();
                 let mut times = [Vec::new(), Vec::new(), Vec::new()];
-                let mut buf = Vec::new();
                 for _ in 0..calls {
                     let t0 = Instant::now();
-                    let q = QuantizedActivations::quantize_with_step_into(&x, 0.004, buf).unwrap();
+                    let mut codes = pool.take(x.numel());
+                    (bodies().emit_codes)(x.data(), step, &mut codes);
                     let t1 = Instant::now();
-                    let (dims, plane, reads) = conv_plan(&q, &w, spec).unwrap();
-                    let p = planes(bodies(), &q, &plane, &pool);
+                    let p = planes(bodies(), &codes, 8, &plane, &pool);
                     let t2 = Instant::now();
-                    let y = kernel(bodies(), &p, dims[0], &reads, &w, w.step * q.step);
+                    let y = kernel(bodies(), &p, 8, &reads, &w, w.step * step);
                     let t3 = Instant::now();
                     std::hint::black_box(y);
                     pool.give(p);
-                    buf = q.codes;
+                    pool.give(codes);
                     for (t, (a, b)) in times.iter_mut().zip([(t0, t1), (t1, t2), (t2, t3)]) {
                         t.push((b - a).as_secs_f64() * 1e6);
                     }

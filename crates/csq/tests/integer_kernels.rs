@@ -1,6 +1,7 @@
-//! Bit-exactness of the integer kernels (`conv2d_integer`,
-//! `linear_integer`) against direct-loop `i64` references kept in this
-//! file.
+//! Bit-exactness of the compiled integer ops (`IntegerOp::conv`,
+//! `IntegerOp::linear`) against direct-loop `i64` references kept in this
+//! file. Each case feeds the op `code · step`, which its code emission
+//! maps back to `code` for every `|code| ≤ 255`.
 //!
 //! A seeded sweep covers 1×1, 3×3 and 5×5 kernels, strides 1–2, padding
 //! 0–2, dense, grouped and depthwise convs, channel and feature counts
@@ -13,11 +14,10 @@
 //! it builds offline.
 
 use csq_core::pack::PackedWeight;
-use csq_core::qinfer::{
-    conv2d_integer, linear_integer, IntegerWeight, QinferError, QuantizedActivations, MAX_CODE,
-};
+use csq_core::qinfer::{IntegerOp, IntegerWeight, QinferError, MAX_CODE};
 use csq_tensor::conv::ConvSpec;
 use csq_tensor::par::{self, ScratchPool};
+use csq_tensor::Tensor;
 
 /// xorshift64 generator: the sweep needs no statistical quality, only a
 /// fixed stream per seed.
@@ -45,9 +45,25 @@ impl Rng {
     }
 }
 
+/// Activation codes in `-255..=255` of a batch of `dims`, on the grid
+/// of `step`.
+struct Acts {
+    codes: Vec<i16>,
+    step: f32,
+    dims: Vec<usize>,
+}
+
+impl Acts {
+    /// The floats `code · step` an op is fed.
+    fn tensor(&self) -> Tensor {
+        let x = self.codes.iter().map(|&c| c as f32 * self.step).collect();
+        Tensor::from_vec(x, &self.dims)
+    }
+}
+
 /// Codes in `-255..=255`; post-ReLU codes are often zero, so a quarter
 /// of them are.
-fn acts(rng: &mut Rng, dims: &[usize]) -> QuantizedActivations {
+fn acts(rng: &mut Rng, dims: &[usize]) -> Acts {
     let n: usize = dims.iter().product();
     let codes = (0..n)
         .map(|_| match rng.range(0, 3) {
@@ -55,7 +71,7 @@ fn acts(rng: &mut Rng, dims: &[usize]) -> QuantizedActivations {
             _ => rng.range(0, 510) as i16 - 255,
         })
         .collect();
-    QuantizedActivations {
+    Acts {
         codes,
         step: 0.0123,
         dims: dims.to_vec(),
@@ -86,7 +102,7 @@ fn weight(rng: &mut Rng, dims: &[usize], max: i32) -> PackedWeight {
 /// Direct-loop reference convolution, `i64` accumulation. The weight is
 /// `[OC, C/G, K, K]`: output channel `o` reads the `C/G` input channels
 /// of its group, `o / (OC/G)`.
-fn conv_ref(x: &QuantizedActivations, w: &PackedWeight, spec: ConvSpec) -> Vec<f32> {
+fn conv_ref(x: &Acts, w: &PackedWeight, spec: ConvSpec) -> Vec<f32> {
     let (n, c, h, wd) = (x.dims[0], x.dims[1], x.dims[2], x.dims[3]);
     let (oc, wc, k) = (w.dims[0], w.dims[1], spec.kernel);
     let group_oc = oc / (c / wc);
@@ -123,7 +139,7 @@ fn conv_ref(x: &QuantizedActivations, w: &PackedWeight, spec: ConvSpec) -> Vec<f
 }
 
 /// Direct-loop reference fully-connected layer, `i64` accumulation.
-fn linear_ref(x: &QuantizedActivations, w: &PackedWeight) -> Vec<f32> {
+fn linear_ref(x: &Acts, w: &PackedWeight) -> Vec<f32> {
     let (b, inf) = (x.dims[0], x.dims[1]);
     let scale = w.step * x.step;
     let mut out = Vec::with_capacity(b * w.dims[0]);
@@ -140,6 +156,16 @@ fn linear_ref(x: &QuantizedActivations, w: &PackedWeight) -> Vec<f32> {
 
 fn pack(w: &PackedWeight) -> IntegerWeight {
     IntegerWeight::from_packed(w).expect("packable codes")
+}
+
+/// `w` compiled as a conv over `x`'s per-sample dims, on `x`'s grid.
+fn conv_op(x: &Acts, w: &PackedWeight, spec: ConvSpec) -> IntegerOp {
+    IntegerOp::conv(pack(w), &x.dims[1..], spec, x.step).expect("a fitting conv")
+}
+
+/// `w` compiled as a linear op on `x`'s grid.
+fn linear_op(x: &Acts, w: &PackedWeight) -> IntegerOp {
+    IntegerOp::linear(pack(w), x.step).expect("a linear weight")
 }
 
 /// The conv cases the kernel treats apart, which the sweep must meet.
@@ -195,7 +221,7 @@ fn seeded_conv_sweep_matches_direct_loops_at_1_and_4_threads() {
         let x = acts(&mut rng, &[n, ic, h, wd]);
         let w = weight(&mut rng, &[oc, icg, k, k], max);
         let want = conv_ref(&x, &w, spec);
-        let iw = pack(&w);
+        let (op, xt) = (conv_op(&x, &w, spec), x.tensor());
         let positions = spec.out_size(h) * spec.out_size(wd);
         let hits = [
             !ocg.is_multiple_of(8),
@@ -210,8 +236,7 @@ fn seeded_conv_sweep_matches_direct_loops_at_1_and_4_threads() {
         ];
         met.extend(CLASSES.iter().zip(hits).filter(|c| c.1).map(|c| *c.0));
         for threads in [1usize, 4] {
-            let got = par::with_threads(threads, || conv2d_integer(&x, &iw, spec, &scratch))
-                .expect("conv");
+            let got = par::with_threads(threads, || op.forward(&xt, &scratch));
             assert_eq!(
                 got.dims(),
                 &[n, oc, spec.out_size(h), spec.out_size(wd)][..]
@@ -241,9 +266,9 @@ fn seeded_linear_sweep_matches_direct_loops_at_1_and_4_threads() {
         let max = rng.pick(&[1, 15, 255]);
         let w = weight(&mut rng, &[outf, inf], max);
         let want = linear_ref(&x, &w);
-        let iw = pack(&w);
+        let (op, xt, scratch) = (linear_op(&x, &w), x.tensor(), ScratchPool::new());
         for threads in [1usize, 4] {
-            let got = par::with_threads(threads, || linear_integer(&x, &iw)).expect("linear");
+            let got = par::with_threads(threads, || op.forward(&xt, &scratch));
             assert_eq!(got.dims(), &[b, outf][..]);
             assert_eq!(got.data(), &want[..], "case {case} threads={threads}");
         }
@@ -252,14 +277,8 @@ fn seeded_linear_sweep_matches_direct_loops_at_1_and_4_threads() {
 
 /// `batch` activation rows all `act` against `rows` rows of `code`; a
 /// negative `code` alternates sign along each row.
-fn extreme(
-    k: usize,
-    rows: usize,
-    batch: usize,
-    code: i32,
-    act: i16,
-) -> (QuantizedActivations, PackedWeight) {
-    let x = QuantizedActivations {
+fn extreme(k: usize, rows: usize, batch: usize, code: i32, act: i16) -> (Acts, PackedWeight) {
+    let x = Acts {
         codes: vec![act; batch * k],
         step: 1.0,
         dims: vec![batch, k],
@@ -304,9 +323,9 @@ fn extreme_operands_stay_exact_at_and_past_the_k_chunk_boundary() {
             // with idle lanes, one short strip of positions.
             let (x, w) = extreme(k, 5, 3, code, act);
             let want = linear_ref(&x, &w);
-            let iw = pack(&w);
+            let (op, xt, scratch) = (linear_op(&x, &w), x.tensor(), ScratchPool::new());
             for threads in [1usize, 4] {
-                let got = par::with_threads(threads, || linear_integer(&x, &iw)).expect("linear");
+                let got = par::with_threads(threads, || op.forward(&xt, &scratch));
                 let what = format!("code={code} act={act} k={k} threads={threads}");
                 assert_eq!(got.data(), &want[..], "{what}");
             }
@@ -323,7 +342,7 @@ fn extreme_operands_stay_exact_at_and_past_the_k_chunk_boundary() {
         let (_, probe) = extreme(4, 1, 1, code, act);
         let ic = (pack(&probe).k_chunk() + 1).div_ceil(9);
         let spec = ConvSpec::new(3, 1, 1);
-        let x = QuantizedActivations {
+        let x = Acts {
             codes: vec![act; ic * 9],
             step: 1.0,
             dims: vec![1, ic, 3, 3],
@@ -338,7 +357,7 @@ fn extreme_operands_stay_exact_at_and_past_the_k_chunk_boundary() {
             bits: 8.0,
         };
         let want = conv_ref(&x, &w, spec);
-        let got = conv2d_integer(&x, &pack(&w), spec, &ScratchPool::new()).expect("conv");
+        let got = conv_op(&x, &w, spec).forward(&x.tensor(), &ScratchPool::new());
         assert_eq!(got.data(), &want[..], "code=±{code} act={act}");
     }
 }
@@ -373,6 +392,19 @@ fn codes_the_packed_operand_cannot_hold_are_typed_errors() {
         Err(QinferError::CodeCountMismatch {
             what: "weights",
             expected: 6,
+            actual: 5
+        })
+    );
+    // Dims whose product overflows hold no count of codes.
+    let huge = PackedWeight {
+        dims: vec![usize::MAX, 2],
+        ..short
+    };
+    assert_eq!(
+        IntegerWeight::from_packed(&huge),
+        Err(QinferError::CodeCountMismatch {
+            what: "weights",
+            expected: usize::MAX,
             actual: 5
         })
     );

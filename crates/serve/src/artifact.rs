@@ -602,6 +602,35 @@ mod tests {
         }
     }
 
+    /// A weight code wider than the integer kernel's `i16` operand fails
+    /// compile with a typed error naming the weight, whether a linear op
+    /// reads the weight or no op does.
+    #[test]
+    fn code_the_packed_operand_cannot_hold_is_a_bind_error() {
+        let ops = || vec![linear(4, 3, None)];
+        let mut read = plan(&[4], 3, ops(), &[("w", &[3, 4])]);
+        read.weights[0].codes[5] = 40_000;
+        let mut unread = plan(&[4], 3, ops(), &[("w", &[3, 4])]);
+        let mut codes = vec![1; 12];
+        codes[5] = 40_000;
+        unread.weights.push(packed("spare", &[3, 4], codes));
+        for (artifact, want) in [(read, "w"), (unread, "spare")] {
+            match artifact.compile().unwrap_err() {
+                ArtifactError::Bind(BindError::Codes { path, error }) => {
+                    assert_eq!(path, want);
+                    assert_eq!(
+                        error,
+                        csq_core::QinferError::CodeOutOfRange {
+                            code: 40_000,
+                            max: 32_767,
+                        }
+                    );
+                }
+                other => panic!("{want}: expected a bind error, got {other:?}"),
+            }
+        }
+    }
+
     /// An artifact of `ops` over `input_dims`, with one weight of each
     /// `(path, dims)` in `weights` (every code 1) and its calibrated step.
     fn plan(

@@ -6,14 +6,15 @@
 //! Two execution modes exist over the same plan:
 //!
 //! * **Integer mode** ([`CompiledModel::forward_batch`]) — the deployment
-//!   path. The input to each weighted op is quantized to signed codes in
-//!   ±255 with that op's *calibrated* step, and every conv (dense,
-//!   grouped or depthwise) and linear op, the stem included, runs the one
-//!   exact integer kernel: each sample's codes are copied once into a
-//!   channels-last `i16` plane, read at every tap against weight panels
-//!   packed once at bind time as an [`IntegerWeight`] (8 output channels
-//!   per vector), exact `i32`/`i64` sums, one float scale per output.
-//!   Nothing is selected per op or per request.
+//!   path. Binding compiles every conv (dense, grouped or depthwise) and
+//!   linear op, the stem included, into one [`IntegerOp`]: its weight
+//!   packed into panels for the one exact integer kernel (8 output
+//!   channels per vector), the per-sample dims that reach it, its plane
+//!   layout and its *calibrated* step. A request then only quantizes each
+//!   op's input to signed codes in ±255, copies each sample's codes once
+//!   into a channels-last `i16` plane and runs the kernel: exact
+//!   `i32`/`i64` sums, one float scale per output. Nothing is checked,
+//!   planned or selected per op or per request.
 //! * **Float mode** ([`CompiledModel::forward_float`]) — the reference
 //!   path used by calibration and accuracy-parity checks: identical
 //!   dataflow, unpacked (bit-exact) weights, no activation quantization.
@@ -23,10 +24,7 @@
 //! a batched forward is bit-identical to running each sample alone —
 //! the property the engine's micro-batching relies on.
 
-use csq_core::qinfer::{
-    conv2d_integer, linear_integer, uniform_act_quant, IntegerWeight, QinferError,
-    QuantizedActivations,
-};
+use csq_core::qinfer::{uniform_act_quant, IntegerOp, IntegerWeight, QinferError};
 use csq_core::PackedWeight;
 use csq_nn::InferOp;
 use csq_tensor::conv::{conv2d, ConvSpec};
@@ -83,9 +81,6 @@ pub enum ServeError {
     },
     /// The engine has shut down and no longer accepts or answers work.
     Closed,
-    /// An integer kernel rejected its operands (plan/weight corruption —
-    /// cannot happen for a well-formed artifact).
-    Kernel(QinferError),
 }
 
 impl std::fmt::Display for ServeError {
@@ -116,36 +111,19 @@ impl std::fmt::Display for ServeError {
                 actual.0, actual.1, expected.0, expected.1
             ),
             ServeError::Closed => write!(f, "engine is shut down"),
-            ServeError::Kernel(e) => write!(f, "integer kernel error: {e}"),
         }
     }
 }
 
 impl std::error::Error for ServeError {}
 
-impl From<QinferError> for ServeError {
-    fn from(e: QinferError) -> Self {
-        ServeError::Kernel(e)
-    }
-}
-
-/// One executable op bound to its weight slot.
-#[derive(Debug, Clone)]
+/// One executable op, as `bind` checked it.
+#[derive(Debug)]
 enum BoundOp {
-    /// A conv whose `[OC, IC/G, K, K]` weight and input `bind` checked
-    /// against each other; the kernels read the group count `G` off the
-    /// dims.
-    Conv {
-        widx: usize,
-        spec: ConvSpec,
-        bias: Option<Tensor>,
-        step: f32,
-    },
-    Linear {
-        widx: usize,
-        bias: Option<Tensor>,
-        step: f32,
-    },
+    /// A conv, dense, grouped or depthwise; the float reference reads its
+    /// spec.
+    Conv(Weighted, ConvSpec),
+    Linear(Weighted),
     ChannelAffine {
         scale: Vec<f32>,
         shift: Vec<f32>,
@@ -173,14 +151,17 @@ enum BoundOp {
     },
 }
 
-/// A packed weight plus its exact float reconstruction (for the float
-/// reference path) and its integer-kernel panels, both built once at
-/// bind time.
-#[derive(Debug, Clone)]
-struct BoundWeight {
-    packed: PackedWeight,
+/// A conv's or linear op's weight in the form each forward reads, built
+/// once, at bind, and its bias.
+#[derive(Debug)]
+struct Weighted {
+    /// The weight's path in the artifact.
+    path: String,
+    /// The op compiled for the integer kernel, on the dims that reach it.
+    integer: IntegerOp,
+    /// The weight's grid values `code·step`, for the float reference.
     float: Tensor,
-    integer: IntegerWeight,
+    bias: Option<Tensor>,
 }
 
 /// Why an op plan could not be bound to weights/calibration.
@@ -271,7 +252,6 @@ pub struct CompiledModel {
     input_dims: Vec<usize>,
     num_classes: usize,
     plan: Vec<BoundOp>,
-    weights: Vec<BoundWeight>,
 }
 
 impl CompiledModel {
@@ -283,7 +263,9 @@ impl CompiledModel {
     /// pass and drops it; nothing serves it.
     ///
     /// Binding is where a plan's shapes are checked
-    /// ([`BindError::Shape`]); the request path trusts them.
+    /// ([`BindError::Shape`]) and where each conv and linear op is
+    /// compiled for the integer kernel on the dims that reach it; the
+    /// request path trusts them.
     pub(crate) fn bind(
         name: String,
         input_dims: Vec<usize>,
@@ -292,35 +274,16 @@ impl CompiledModel {
         packed: &[PackedWeight],
         calibration: Option<&HashMap<String, f32>>,
     ) -> Result<CompiledModel, BindError> {
-        let mut weights = Vec::with_capacity(packed.len());
+        // Every weight in the artifact is packed, and so checked, here,
+        // whether an op reads it or not.
+        let mut by_path = HashMap::with_capacity(packed.len());
         for p in packed {
-            let codes_error = |error| BindError::Codes {
+            let integer = IntegerWeight::from_packed(p).map_err(|error| BindError::Codes {
                 path: p.path.clone(),
                 error,
-            };
-            // A damaged artifact can carry a code count that disagrees
-            // with the dims; `unpack` requires them to agree.
-            let expected = p.dims.iter().try_fold(1usize, |n, &d| n.checked_mul(d));
-            if expected != Some(p.codes.len()) {
-                return Err(codes_error(QinferError::CodeCountMismatch {
-                    what: "weights",
-                    expected: expected.unwrap_or(usize::MAX),
-                    actual: p.codes.len(),
-                }));
-            }
-            // Packed into its GEMM form once, here — never on the
-            // request path.
-            weights.push(BoundWeight {
-                integer: IntegerWeight::from_packed(p).map_err(codes_error)?,
-                float: p.unpack(),
-                packed: p.clone(),
-            });
+            })?;
+            by_path.insert(p.path.as_str(), (p, integer));
         }
-        let by_path: HashMap<&str, (usize, &[usize])> = weights
-            .iter()
-            .enumerate()
-            .map(|(i, w)| (w.packed.path.as_str(), (i, &w.packed.dims[..])))
-            .collect();
         let (plan, out) = bind_ops(ops, "ops", input_dims.clone(), &by_path, calibration)?;
         if num_classes == 0 || out != [num_classes] {
             let last = ops.len().checked_sub(1);
@@ -335,7 +298,6 @@ impl CompiledModel {
             input_dims,
             num_classes,
             plan,
-            weights,
         })
     }
 
@@ -359,8 +321,8 @@ impl CompiledModel {
     pub fn kernel_plan(&self, _batch: usize) -> Vec<KernelPlanEntry> {
         weighted_ops(&self.plan)
             .into_iter()
-            .map(|(op, widx)| KernelPlanEntry {
-                path: self.weights[widx].packed.path.clone(),
+            .map(|(op, path)| KernelPlanEntry {
+                path: path.to_string(),
                 op,
                 class: "integer",
             })
@@ -383,11 +345,11 @@ impl CompiledModel {
         }
     }
 
-    /// Deployment forward: every weighted op on the integer kernel with
-    /// its calibrated activation grid. `x` is `[N, C, H, W]`; returns
-    /// logits `[N, num_classes]`. `scratch` recycles the activation-code
-    /// buffers and the integer conv's planes — engine workers own one
-    /// pool each.
+    /// Deployment forward: every weighted op on its compiled integer op,
+    /// with its calibrated activation grid. `x` is `[N, C, H, W]`;
+    /// returns logits `[N, num_classes]`. Fails only with
+    /// [`ServeError::BadInput`]. `scratch` recycles the activation-code
+    /// buffers and the planes — engine workers own one pool each.
     ///
     /// Per-sample kernels plus fixed calibrated grids make the result
     /// bit-identical for any batching of the same samples.
@@ -396,14 +358,14 @@ impl CompiledModel {
         x: &Tensor,
         scratch: &ScratchPool<i16>,
     ) -> Result<Tensor, ServeError> {
-        self.run(x, scratch, true, None)
+        self.run(x, Some(scratch), None)
     }
 
     /// Reference forward: identical dataflow on unpacked weights with no
     /// activation quantization. Used by calibration and accuracy-parity
     /// checks.
     pub fn forward_float(&self, x: &Tensor) -> Result<Tensor, ServeError> {
-        self.run(x, &ScratchPool::new(), false, None)
+        self.run(x, None, None)
     }
 
     /// Float forward that also reports, for every weighted op, the
@@ -413,31 +375,21 @@ impl CompiledModel {
     pub(crate) fn forward_observe(
         &self,
         x: &Tensor,
-        observer: &mut dyn FnMut(&str, f32, f32),
+        observer: &mut Observer<'_>,
     ) -> Result<Tensor, ServeError> {
-        let weights = &self.weights;
-        let mut by_index = |widx: usize, lo: f32, hi: f32| {
-            observer(&weights[widx].packed.path, lo, hi);
-        };
-        self.run(x, &ScratchPool::new(), false, Some(&mut by_index))
+        self.run(x, None, Some(observer))
     }
 
-    /// Checks `x` against the input shape and runs the plan on it.
+    /// Checks `x` against the input shape and runs the plan on it: on the
+    /// integer kernel with a scratch pool, else the float reference.
     fn run(
         &self,
         x: &Tensor,
-        scratch: &ScratchPool<i16>,
-        integer: bool,
+        scratch: Option<&ScratchPool<i16>>,
         observer: Option<&mut Observer<'_>>,
     ) -> Result<Tensor, ServeError> {
         self.check_batch(x)?;
-        let weights = &self.weights;
-        let ctx = ExecCtx {
-            weights,
-            scratch,
-            integer,
-        };
-        run_ops(&ctx, &self.plan, x.clone(), observer)
+        Ok(run_ops(&self.plan, x.clone(), scratch, observer))
     }
 }
 
@@ -455,13 +407,13 @@ pub struct KernelPlanEntry {
 
 /// Every weighted op of a plan in execution order (a residual block's
 /// main branch, then its shortcut, then its post ops): op kind and
-/// weight index.
-fn weighted_ops(plan: &[BoundOp]) -> Vec<(&'static str, usize)> {
+/// weight path.
+fn weighted_ops(plan: &[BoundOp]) -> Vec<(&'static str, &str)> {
     let mut out = Vec::new();
     for op in plan {
         match op {
-            BoundOp::Conv { widx, .. } => out.push(("conv2d", *widx)),
-            BoundOp::Linear { widx, .. } => out.push(("linear", *widx)),
+            BoundOp::Conv(w, _) => out.push(("conv2d", w.path.as_str())),
+            BoundOp::Linear(w) => out.push(("linear", w.path.as_str())),
             BoundOp::Residual {
                 main,
                 shortcut,
@@ -515,12 +467,13 @@ fn weight_of(op: &InferOp) -> Option<&str> {
 
 /// Binds the op list at plan path `at` (`ops`, `ops[5].Residual.main`),
 /// walking one sample's dims through it: `dims` enter the list, and the
-/// dims leaving it come back with the bound ops.
+/// dims leaving it come back with the bound ops. `by_path` holds each
+/// weight and its packed panels.
 fn bind_ops(
     ops: &[InferOp],
     at: &str,
     mut dims: Vec<usize>,
-    by_path: &HashMap<&str, (usize, &[usize])>,
+    by_path: &HashMap<&str, (&PackedWeight, IntegerWeight)>,
     steps: Option<&HashMap<String, f32>>,
 ) -> Result<(Vec<BoundOp>, Vec<usize>), BindError> {
     let mut plan = Vec::with_capacity(ops.len());
@@ -551,11 +504,24 @@ fn bind_ops(
         if dims.contains(&0) {
             return Err(misfit(format!("it is reached by {dims:?}, a zero dim")));
         }
-        let (widx, wdims) = match weight_of(op) {
-            Some(w) => *by_path.get(w).ok_or_else(|| BindError::MissingWeight {
+        let found = match weight_of(op) {
+            Some(w) => Some(by_path.get(w).ok_or_else(|| BindError::MissingWeight {
                 path: w.to_string(),
-            })?,
-            None => (0, &[][..]),
+            })?),
+            None => None,
+        };
+        let wdims = found.map_or(&[][..], |(p, _)| &p.dims[..]);
+        // A conv's or linear op's weight, compiled by `compile` for the
+        // integer forward once the walk has checked it, and unpacked for
+        // the float reference.
+        let weighted = |compile: &dyn Fn(IntegerWeight) -> Result<IntegerOp, QinferError>, bias| {
+            let (p, integer) = found.ok_or_else(|| misfit("it reads no weight".to_string()))?;
+            Ok(Weighted {
+                path: p.path.clone(),
+                integer: compile(integer.clone()).map_err(|e| misfit(e.to_string()))?,
+                float: p.unpack(),
+                bias,
+            })
         };
         // The extents of a `k`-wide window at stride `s` over `h` and `w`
         // padded by `p`, checked before `ConvSpec::new` sees `k` and `s`.
@@ -603,13 +569,10 @@ fn bind_ops(
                 bias: b,
             } if dims.len() == 3 && dims[0] == *in_channels => {
                 let (oh, ow) = slide(dims[1], dims[2], *kernel, *stride, *padding)?;
-                let bound = BoundOp::Conv {
-                    widx,
-                    spec: ConvSpec::new(*kernel, *stride, *padding),
-                    bias: bias(b, *out_channels)?,
-                    step: step(weight)?,
-                };
-                (bound, vec![*out_channels, oh, ow])
+                let spec = ConvSpec::new(*kernel, *stride, *padding);
+                let (bias, step) = (bias(b, *out_channels)?, step(weight)?);
+                let w = weighted(&|w| IntegerOp::conv(w, &dims, spec, step), bias)?;
+                (BoundOp::Conv(w, spec), vec![*out_channels, oh, ow])
             }
             InferOp::Linear {
                 in_features: i,
@@ -625,7 +588,8 @@ fn bind_ops(
                 bias: b,
             } if dims == [*in_features] => {
                 let (bias, step) = (bias(b, *out_features)?, step(weight)?);
-                (BoundOp::Linear { widx, bias, step }, vec![*out_features])
+                let w = weighted(&|w| IntegerOp::linear(w, step), bias)?;
+                (BoundOp::Linear(w), vec![*out_features])
             }
             InferOp::ChannelAffine { scale, shift } if scale.len() != shift.len() => {
                 let (a, b) = (scale.len(), shift.len());
@@ -690,38 +654,33 @@ fn bind_ops(
     Ok((plan, dims))
 }
 
-/// Reports the minimum and maximum of the activation tensor entering
-/// weighted op `widx` to the calibration observer. Request-path forwards
-/// pass no observer and skip the scan.
-fn observe(observer: &mut Option<&mut Observer<'_>>, widx: usize, x: &Tensor) {
+/// Reports the minimum and maximum of the activation tensor entering the
+/// weighted op of weight `path` to the calibration observer.
+/// Request-path forwards pass no observer and skip the scan.
+fn observe(observer: &mut Option<&mut Observer<'_>>, path: &str, x: &Tensor) {
     if let Some(obs) = observer {
         let (lo, hi) = x
             .iter()
             .fold((f32::INFINITY, f32::NEG_INFINITY), |(lo, hi), &v| {
                 (lo.min(v), hi.max(v))
             });
-        obs(widx, lo, hi);
+        obs(path, lo, hi);
     }
 }
 
-/// The calibration observer: `(weight index, input min, input max)` per
+/// The calibration observer: `(weight path, input min, input max)` per
 /// weighted op.
-type Observer<'a> = dyn FnMut(usize, f32, f32) + 'a;
+type Observer<'a> = dyn FnMut(&str, f32, f32) + 'a;
 
 /// Profiler metadata for one op: the kind label, the kernel class, and
 /// the bytes of weight data it reads. `None` for ops that cost nothing
 /// worth attributing (`Flatten`, `Identity`) and for `Residual`, whose
 /// inner ops are recorded individually by the recursive [`run_ops`]
 /// calls.
-fn profile_meta(
-    op: &BoundOp,
-    weights: &[BoundWeight],
-    integer: bool,
-) -> Option<(&'static str, &'static str, u64)> {
+fn profile_meta(op: &BoundOp, integer: bool) -> Option<(&'static str, &'static str, u64)> {
     // Weight bytes actually read: the integer kernel its `i16` panels, the
     // float reference the unpacked `f32` weight.
-    let weighted = |kind: &'static str, widx: &usize| {
-        let w = &weights[*widx];
+    let weighted = |kind: &'static str, w: &Weighted| {
         Some(if integer {
             (kind, "integer", w.integer.code_bytes() as u64)
         } else {
@@ -730,8 +689,8 @@ fn profile_meta(
     };
     let float = |kind: &'static str| Some((kind, "float", 0));
     match op {
-        BoundOp::Conv { widx, .. } => weighted("conv2d", widx),
-        BoundOp::Linear { widx, .. } => weighted("linear", widx),
+        BoundOp::Conv(w, _) => weighted("conv2d", w),
+        BoundOp::Linear(w) => weighted("linear", w),
         BoundOp::ChannelAffine { .. } => float("channel_affine"),
         BoundOp::Relu => float("relu"),
         BoundOp::UniformActQuant { .. } => float("act_quant"),
@@ -742,48 +701,22 @@ fn profile_meta(
     }
 }
 
-/// Quantizes `x` onto the op's calibrated grid, runs the integer kernel
-/// `kernel` on the codes with the weight's panels, and recycles the
-/// code buffer.
-fn on_codes(
-    x: &Tensor,
-    step: f32,
-    w: &BoundWeight,
-    scratch: &ScratchPool<i16>,
-    kernel: impl FnOnce(&QuantizedActivations, &IntegerWeight) -> Result<Tensor, QinferError>,
-) -> Result<Tensor, ServeError> {
-    let q = QuantizedActivations::quantize_with_step_into(x, step, scratch.take(x.numel()))?;
-    let y = kernel(&q, &w.integer);
-    scratch.give(q.codes);
-    Ok(y?)
-}
-
-/// Everything a forward pass threads through the op loop unchanged:
-/// the bound weights, the caller's scratch pool (code buffers and conv
-/// planes), and whether weighted ops run on the integer kernel (`false`
-/// = the float reference path).
-struct ExecCtx<'a> {
-    weights: &'a [BoundWeight],
-    scratch: &'a ScratchPool<i16>,
-    integer: bool,
-}
-
-/// Runs a plan: each weighted op takes the integer kernel in an integer
-/// forward, else the exact float path on the unpacked weight.
+/// Runs a plan: with a scratch pool (the integer forward) each weighted
+/// op runs its compiled integer op, which recycles its buffers through
+/// the pool; without one, the float reference on the unpacked weight.
 fn run_ops(
-    ctx: &ExecCtx<'_>,
     plan: &[BoundOp],
     mut x: Tensor,
+    scratch: Option<&ScratchPool<i16>>,
     mut observer: Option<&mut Observer<'_>>,
-) -> Result<Tensor, ServeError> {
+) -> Tensor {
     let profiler = csq_obs::profiler::global();
-    let (weights, scratch, integer) = (ctx.weights, ctx.scratch, ctx.integer);
     for op in plan {
         // Kernel profiling (off by default; the disabled check is one
         // relaxed atomic load). Input shape is captured before the op
         // consumes `x`; bytes = input + output activations + weights.
         let prof = if profiler.enabled() {
-            profile_meta(op, weights, integer).map(|(kind, class, wbytes)| {
+            profile_meta(op, scratch.is_some()).map(|(kind, class, wbytes)| {
                 (
                     kind,
                     class,
@@ -797,35 +730,24 @@ fn run_ops(
             None
         };
         x = match op {
-            BoundOp::Conv {
-                widx,
-                spec,
-                bias,
-                step,
-            } => {
-                observe(&mut observer, *widx, &x);
-                let w = &weights[*widx];
-                let y = if integer {
-                    on_codes(&x, *step, w, scratch, |q, iw| {
-                        conv2d_integer(q, iw, *spec, scratch)
-                    })?
-                } else {
-                    conv2d(&x, &w.float, *spec)
+            BoundOp::Conv(w, spec) => {
+                observe(&mut observer, &w.path, &x);
+                let y = match scratch {
+                    Some(scratch) => w.integer.forward(&x, scratch),
+                    None => conv2d(&x, &w.float, *spec),
                 };
-                match bias {
+                match &w.bias {
                     Some(b) => y.add_channel_bias(b),
                     None => y,
                 }
             }
-            BoundOp::Linear { widx, bias, step } => {
-                observe(&mut observer, *widx, &x);
-                let w = &weights[*widx];
-                let y = if integer {
-                    on_codes(&x, *step, w, scratch, linear_integer)?
-                } else {
-                    x.matmul_nt(&w.float)
+            BoundOp::Linear(w) => {
+                observe(&mut observer, &w.path, &x);
+                let y = match scratch {
+                    Some(scratch) => w.integer.forward(&x, scratch),
+                    None => x.matmul_nt(&w.float),
                 };
-                match bias {
+                match &w.bias {
                     Some(b) => y.add_row_bias(b),
                     None => y,
                 }
@@ -849,7 +771,7 @@ fn run_ops(
             }
             BoundOp::UniformActQuant { range, levels } => {
                 let mut y = x;
-                uniform_act_quant(&mut y, *range, *levels)?;
+                uniform_act_quant(&mut y, *range, *levels);
                 y
             }
             BoundOp::MaxPool { window, stride } => pool::maxpool2d(&x, *window, *stride).output,
@@ -866,15 +788,15 @@ fn run_ops(
                 shortcut,
                 post,
             } => {
-                let m = run_ops(ctx, main, x.clone(), observer.as_deref_mut())?;
+                let m = run_ops(main, x.clone(), scratch, observer.as_deref_mut());
                 let s = if shortcut.is_empty() {
                     x
                 } else {
-                    run_ops(ctx, shortcut, x, observer.as_deref_mut())?
+                    run_ops(shortcut, x, scratch, observer.as_deref_mut())
                 };
                 let mut merged = m;
                 merged.add_assign_t(&s);
-                run_ops(ctx, post, merged, observer.as_deref_mut())?
+                run_ops(post, merged, scratch, observer.as_deref_mut())
             }
         };
         if let Some((kind, class, wbytes, in_dims, in_numel, start)) = prof {
@@ -890,5 +812,5 @@ fn run_ops(
             );
         }
     }
-    Ok(x)
+    x
 }

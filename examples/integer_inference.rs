@@ -8,7 +8,7 @@
 //! ```
 
 use csq_repro::csq::prelude::*;
-use csq_repro::csq::qinfer::{conv2d_integer, IntegerWeight, QuantizedActivations};
+use csq_repro::csq::qinfer::{IntegerOp, IntegerWeight};
 use csq_repro::csq::PackedModel;
 use csq_repro::nn::models::{resnet_cifar, ModelConfig};
 use csq_repro::nn::Layer;
@@ -37,19 +37,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Run the stem convolution two ways: float reference vs integer
     // arithmetic on signed activation codes in ±255, whose step holds the
-    // image's largest magnitude (a served model calibrates it once).
+    // image's largest magnitude (a served model calibrates it once). The
+    // integer op is compiled once, for a `[3, 16, 16]` image and that
+    // step; its forward only emits codes and runs the kernel.
     let mut rng = ChaCha8Rng::seed_from_u64(7);
     let x = init::uniform(&[1, 3, 16, 16], -1.0, 1.0, &mut rng);
     let stem = &packed.layers[0];
-    let spec = ConvSpec::new(3, 1, 1);
+    let (spec, step) = (ConvSpec::new(3, 1, 1), x.max_abs() / 255.0);
 
-    let xq = QuantizedActivations::quantize_with_step(&x, x.max_abs() / 255.0)?;
-    let y_int = conv2d_integer(
-        &xq,
-        &IntegerWeight::from_packed(stem)?,
-        spec,
-        &ScratchPool::new(),
-    )?;
+    let stem_op = IntegerOp::conv(IntegerWeight::from_packed(stem)?, &[3, 16, 16], spec, step)?;
+    let y_int = stem_op.forward(&x, &ScratchPool::new());
     let y_float = conv2d(&x, &stem.unpack(), spec);
 
     let max_err = y_int
@@ -59,14 +56,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .fold(0.0f32, f32::max);
     println!(
         "stem conv: integer vs float max deviation {:.5} (activation step {:.5})",
-        max_err, xq.step
+        max_err, step
     );
     assert!(max_err < 0.1, "integer path should track the float path");
 
-    // The packed representation reconstructs the trained weights exactly.
+    // The packed codes give the grid values `code·step`, within about an
+    // ulp of the trained weights.
     let back = stem.unpack();
     println!(
-        "stem weights reconstruct exactly from {}-bit codes: max |w| = {:.4}",
+        "stem weights reconstruct from {}-bit codes as code·step: max |w| = {:.4}",
         stem.bits,
         back.max_abs()
     );

@@ -21,15 +21,16 @@ echo "==> cargo test --workspace (every crate's unit, integration and doc tests)
 # One run covers every gated invariant:
 # - bit-exactness: the float GEMM and the conv forward and gradients
 #   against naive loops (csq-tensor gemm::, kernel_equivalence,
-#   kernel_equivalence_prop), the integer kernels on signed activation
-#   codes (csq-core integer_kernels; its conv sweep must meet a lane
-#   tail, a depthwise block, lanes spanning groups with 1 < OC/G < 8, an
-#   odd channel count per group, a short 8-position strip, a 1x1
-#   stride-2 conv and the served 3x3 convs at 8, 16 and 32 channels; the
-#   kernel's AVX2 and portable bodies agree in csq-core qinfer::, and
-#   codes and steps of non-negative inputs equal the unsigned grid's in
-#   csq-serve calibrate::), the served model's forward_batch at 1 and 4
-#   threads and against single samples (csq-serve serve_end_to_end),
+#   kernel_equivalence_prop), the compiled integer ops on signed
+#   activation codes (csq-core integer_kernels; its conv sweep must meet
+#   a lane tail, a depthwise block, lanes spanning groups with
+#   1 < OC/G < 8, an odd channel count per group, a short 8-position
+#   strip, a 1x1 stride-2 conv and the served 3x3 convs at 8, 16 and 32
+#   channels; the kernel's AVX2 and portable bodies agree in csq-core
+#   qinfer::, and the codes of non-negative inputs equal the unsigned
+#   grid's there and their steps in csq-serve calibrate::), the served
+#   model's forward_batch at 1 and 4 threads and against single samples
+#   (csq-serve serve_end_to_end),
 #   training at 1 and 4 threads (parallel_determinism), and crash
 #   resume in both training phases (failure_injection);
 # - integer-only serving: every weighted op of the served ResNets and of
@@ -59,7 +60,9 @@ echo "==> cargo test --workspace (every crate's unit, integration and doc tests)
 #   the op), and a panic prints the seed that replays it (csqm_fuzz);
 #   hand-built plans whose shapes do not fit, or that hold a calibration
 #   step, act-quant range or padding the decoders refuse, must each fail
-#   compile with an error naming the op (csq-serve artifact::tests).
+#   compile with an error naming the op, and a weight code past +-32767
+#   must fail it naming the weight, read by an op or not (csq-serve
+#   artifact::tests).
 cargo test -q --workspace
 
 echo "==> flight-recorder chaos drill (postmortem must be well-formed JSONL)"
@@ -78,20 +81,31 @@ for dump in "${dumps[@]}"; do
 done
 echo "    $(ls "$postmortem_dir" | wc -l) postmortem dump(s), all well-formed"
 
-echo "==> serve smoke (perfbench serve_closed, every answer checked bit for bit)"
-# The closed loop, the exec probe and the four-model fleet probe check
-# every answer against its single-sample reference, and the served
-# model's kernel plan must put every weighted op on the integer kernel;
-# the run writes nothing under bench_results/.
-python3 perfbench/run.py --workload serve_closed --seed 1 --seconds 4 --trace 1 \
-  | tail -n 1 | python3 -c '
+# A 4-second traced perfbench run of workload $1: its result line must
+# read correct, 0 failed, and a kernel plan with every weighted op on the
+# integer kernel. The run writes nothing under bench_results/.
+perfbench_smoke() {
+  python3 perfbench/run.py --workload "$1" --seed 1 --seconds 4 --trace 1 \
+    | tail -n 1 | python3 -c '
 import json, sys
 r = json.loads(sys.stdin.read())
 ops = {c: r["metrics"]["csq_serve.exec.%s_ops" % c]["value"] for c in ("integer", "float")}
 print("    correct=%s attempted=%s failed=%s integer_ops=%s float_ops=%s"
       % (r["correct"], r["attempted"], r["failed"], ops["integer"], ops["float"]))
 ok = r["correct"] is True and r["failed"] == 0 and ops["float"] == 0 and ops["integer"] > 0
-sys.exit(0 if ok else "FAIL: serve smoke")'
+sys.exit(0 if ok else "FAIL: %s smoke" % sys.argv[1])' "$1"
+}
+
+echo "==> serve smoke (perfbench serve_closed, every answer checked bit for bit)"
+# The closed loop, the exec probe and the four-model fleet probe check
+# every answer against its single-sample reference.
+perfbench_smoke serve_closed
+
+echo "==> train smoke (perfbench train, then a fresh model served)"
+# Trains, exports, compiles, saves and rescans a fresh model, then checks
+# its batch-1 and batch-8 forward_batch against single-sample references:
+# the compiled integer ops on a model that is not a committed fixture.
+perfbench_smoke train
 
 echo "==> integer inference example (a signed stem conv on the integer kernel)"
 cargo run --release --example integer_inference

@@ -63,7 +63,7 @@ fn csq_pipeline_reaches_target_and_quantizes_exactly() {
         let w = src.materialize();
         for &v in w.iter() {
             let k = v / step;
-            assert!((k - k.round()).abs() < 1e-2, "{v} off grid {step}");
+            assert!((k - k.round()).abs() < 1e-4, "{v} off grid {step}");
         }
     });
     // Scheme bookkeeping is consistent.
@@ -188,7 +188,7 @@ fn csq_quantizes_mobilenet_v2() {
         let w = src.materialize();
         for &v in w.iter() {
             let k = v / step;
-            assert!((k - k.round()).abs() < 1e-2);
+            assert!((k - k.round()).abs() < 1e-4);
         }
     });
 }
